@@ -8,6 +8,7 @@ single parent and answers path and subkind queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import XfoError
 
@@ -67,7 +68,8 @@ class KindTable:
     """Immutable map from every known kind to its parent.
 
     User kinds are layered over the upper taxonomy at construction time;
-    the table never changes afterwards, so it is safe to share.
+    the table never changes afterwards, so it is safe to share. ``paths``
+    maps every kind to its path up to Entity, computed once here.
     """
 
     def __init__(self, user_kinds: dict[str, str] | None = None):
@@ -78,8 +80,25 @@ class KindTable:
             table[name] = parent
         self._table = table
         # Validate: every chain must reach Entity without repeating a node.
+        # The walk leaves every kind's path cached for the queries below.
+        paths: dict[str, tuple[str, ...]] = {}
         for name in table:
-            self.path_to_entity(name)
+            climbed: list[str] = []
+            seen: set[str] = set()
+            cursor: str | None = name
+            while cursor is not None and cursor not in paths:
+                if cursor in seen:
+                    raise XfoError(f"kind cycle through {cursor!r}")
+                seen.add(cursor)
+                if cursor not in table:
+                    raise XfoError(f"unknown kind: {cursor}")
+                climbed.append(cursor)
+                cursor = table[cursor]
+            path = paths[cursor] if cursor is not None else ()
+            for node in reversed(climbed):
+                path = (node,) + path
+                paths[node] = path
+        self.paths = MappingProxyType(paths)
 
     def __contains__(self, name: str) -> bool:
         return name in self._table
@@ -91,18 +110,10 @@ class KindTable:
 
     def path_to_entity(self, name: str) -> tuple[str, ...]:
         """The unique parent chain from ``name`` up to and including Entity."""
-        path = []
-        seen = set()
-        cursor: str | None = name
-        while cursor is not None:
-            if cursor in seen:
-                raise XfoError(f"kind cycle through {cursor!r}")
-            seen.add(cursor)
-            if cursor not in self._table:
-                raise XfoError(f"unknown kind: {cursor}")
-            path.append(cursor)
-            cursor = self._table[cursor]
-        return tuple(path)
+        path = self.paths.get(name)
+        if path is None:
+            raise XfoError(f"unknown kind: {name}")
+        return path
 
     def is_subkind(self, name: str, ancestor: str) -> bool:
         """True when ``ancestor`` lies on the (unique) path from name to Entity."""

@@ -8,9 +8,12 @@ boundary) advances the clock by one, and all edits of a unit share its tick.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
+from types import MappingProxyType
 
 from . import schemas, transitions
 from .errors import (
@@ -24,7 +27,7 @@ from .errors import (
     UnknownDeterminantError,
     XfoError,
 )
-from .fingerprint import canonical_json, stable_fingerprint
+from .fingerprint import streamed_fingerprint
 from .kinds import INDEPENDENT_CONTINUANT
 from .registry import Registry
 from .relations import RelationStore
@@ -44,16 +47,52 @@ QUIESCENT = "quiescent"
 TICK_BUDGET_EXHAUSTED = "tick_budget_exhausted"
 
 
-@dataclass(frozen=True)
+# The edit keys of the events a microworld records, one tuple per shape,
+# shared by every event of that shape.
+_EDIT_KEYS = MappingProxyType({
+    keys: keys
+    for keys in (
+        ("qualities", "location"), ("member",), ("destroyed",), ("end",), ("deletes", "creates"),
+    )
+})
+
+
+@dataclass(init=False, frozen=True, slots=True, repr=False)
 class TimelineEvent:
+    """One unit of the temporal map.
+
+    ``edits`` are (key, value) pairs. An event holds them as a shared tuple of
+    keys and its own tuple of values, since a long run keeps every event.
+    """
+
     tick: int
     kind: str
     name: str
     participants: tuple[str, ...]
-    edits: tuple[tuple[str, object], ...] = ()
+    _keys: tuple[str, ...]
+    _values: tuple[object, ...]
+
+    def __init__(self, tick: int, kind: str, name: str, participants: tuple[str, ...],
+                 edits: tuple[tuple[str, object], ...] = ()):
+        keys, values = tuple(zip(*edits)) or ((), ())
+        assign = object.__setattr__  # the dataclass is frozen
+        assign(self, "tick", tick)
+        assign(self, "kind", kind)
+        assign(self, "name", name)
+        assign(self, "participants", participants)
+        assign(self, "_keys", _EDIT_KEYS.get(keys, keys))
+        assign(self, "_values", values)
+
+    @property
+    def edits(self) -> tuple[tuple[str, object], ...]:
+        return tuple(zip(self._keys, self._values))
+
+    def __repr__(self) -> str:
+        return (f"TimelineEvent(tick={self.tick!r}, kind={self.kind!r}, name={self.name!r}, "
+                f"participants={self.participants!r}, edits={self.edits!r})")
 
     def edit(self, key: str):
-        for k, v in self.edits:
+        for k, v in zip(self._keys, self._values):
             if k == key:
                 return v
         return None
@@ -64,7 +103,7 @@ class TimelineEvent:
             "kind": self.kind,
             "name": self.name,
             "participants": list(self.participants),
-            "edits": {k: _jsonable(v) for k, v in self.edits},
+            "edits": {k: _jsonable(v) for k, v in zip(self._keys, self._values)},
         }
 
 
@@ -248,7 +287,7 @@ class Microworld:
     # -- relation edits ---------------------------------------------------------------
 
     def assert_relation(self, subject: str, predicate: str, obj: str) -> bool:
-        if (subject, predicate, obj) in self.store.live_set():
+        if (subject, predicate, obj) in self.store:
             return False
         tick = self.clock + 1
         added = self.store.assert_relation(subject, predicate, obj, tick)
@@ -264,10 +303,8 @@ class Microworld:
         tick = self.clock + 1
         destroyed = self.store.destroy_instance(instance_id, tick)
         self.clock = tick
-        self._record(
-            TimelineEvent(tick, DESTROY, instance_id, tuple(destroyed),
-                          (("destroyed", tuple(destroyed)),))
-        )
+        ids = tuple(destroyed)
+        self._record(TimelineEvent(tick, DESTROY, instance_id, ids, (("destroyed", ids),)))
         return destroyed
 
     # -- processes -----------------------------------------------------------------------
@@ -309,7 +346,9 @@ class Microworld:
                 and (wanted is None or event.participants == wanted)
             ):
                 tick = self._next_tick()
-                self.events[index] = replace(event, edits=(("end", tick),))
+                self.events[index] = TimelineEvent(
+                    event.tick, event.kind, event.name, event.participants, (("end", tick),)
+                )
                 return index
         raise NoOpenIntervalError(f"no open interval for process {process_name!r}")
 
@@ -395,7 +434,7 @@ class Microworld:
             pools = [self.store.alive_of_kind(kind) for kind in rule.kinds]
             if any(not pool for pool in pools):
                 continue
-            for combo in _product(pools):
+            for combo in itertools.product(*pools):
                 if len(set(combo)) != len(combo):
                     continue
                 if rule.guard is not None:
@@ -457,14 +496,18 @@ class Microworld:
 
     # -- timeline export --------------------------------------------------------------------------
 
+    def _ordered_events(self) -> list[TimelineEvent]:
+        # A stable sort keeps recording order among events of one tick.
+        return sorted(self.events, key=attrgetter("tick"))
+
     def export_timeline(self) -> list[dict]:
         """The unified temporal map: every event, nondecreasing tick order."""
-        ordered = sorted(enumerate(self.events), key=lambda pair: (pair[1].tick, pair[0]))
-        return [event.as_dict() for _, event in ordered]
+        return [event.as_dict() for event in self._ordered_events()]
 
     def timeline_ndjson(self) -> str:
-        lines = [canonical_event_json(ev) for ev in self.export_timeline()]
-        return "".join(line + "\n" for line in lines)
+        return "".join(
+            canonical_event_json(event.as_dict()) + "\n" for event in self._ordered_events()
+        )
 
     # -- snapshots ------------------------------------------------------------------------------------
 
@@ -505,27 +548,16 @@ class Microworld:
         return world
 
     def fingerprint(self) -> str:
-        payload = {
+        return streamed_fingerprint({
             "clock": self.clock,
             "store": self.store.fingerprint(),
-            "events": [canonical_event_json(e) for e in self.export_timeline()],
-        }
-        return stable_fingerprint(payload)
+            "events": (canonical_event_json(e.as_dict()) for e in self._ordered_events()),
+        })
 
 
 def canonical_event_json(event_dict: dict) -> str:
     # Fixed key order: tick, kind, name, participants, edits.
     return json.dumps(event_dict, sort_keys=False, separators=(",", ":"), ensure_ascii=True)
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    head, *rest = pools
-    for item in head:
-        for tail in _product(rest):
-            yield (item,) + tail
 
 
 # --- running --------------------------------------------------------------------------------------

@@ -48,9 +48,18 @@ class Registry:
         fingerprint: str,
     ):
         self._schemas = MappingProxyType(dict(resolved))
-        self._raw_objects = MappingProxyType(dict(raw_objects))
         self.kinds = kind_table
         self.fingerprint = fingerprint
+        # determinable -> schemas that introduce (not merely inherit) it
+        declarers: dict[str, list[str]] = {}
+        for schema in raw_objects.values():
+            for determinable in dict.fromkeys(slot.determinable for slot in schema.qualities):
+                declarers.setdefault(determinable, []).append(schema.name)
+        self._declarers = {d: tuple(names) for d, names in declarers.items()}
+        self._predicates = frozenset(BUILTIN_PREDICATES).union(
+            self._declarers,
+            (name for name, s in resolved.items() if isinstance(s, schemas.RelationSchema)),
+        )
 
     # -- lookup -----------------------------------------------------------
 
@@ -132,10 +141,11 @@ class Registry:
     # -- kind queries ----------------------------------------------------------
 
     def is_subkind(self, name: str, ancestor: str) -> bool:
-        return name in self.kinds and self.kinds.is_subkind(name, ancestor)
+        path = self.kinds.paths.get(name)
+        return path is not None and ancestor in path
 
     def is_independent_continuant_kind(self, name: str) -> bool:
-        return name in self.kinds and self.kinds.is_independent_continuant(name)
+        return self.is_subkind(name, kinds.INDEPENDENT_CONTINUANT)
 
     def specificity(self, name: str) -> int:
         """Edges from a registered kind down from its upper attachment point."""
@@ -153,21 +163,13 @@ class Registry:
 
     def determinable_declarers(self, determinable: str) -> tuple[str, ...]:
         """Schemas that introduce (not merely inherit) the determinable."""
-        out = []
-        for schema in self._raw_objects.values():
-            if schema.quality_slot(determinable) is not None:
-                out.append(schema.name)
-        return tuple(out)
+        return self._declarers.get(determinable, ())
 
     def is_determinable(self, name: str) -> bool:
-        return bool(self.determinable_declarers(name))
+        return name in self._declarers
 
     def predicate_declared(self, name: str) -> bool:
-        return (
-            name in BUILTIN_PREDICATES
-            or self.relation(name) is not None
-            or self.is_determinable(name)
-        )
+        return name in self._predicates
 
 
 class RegistryBuilder:

@@ -5,11 +5,19 @@ stay queryable for the temporal map. The store also owns the instance table
 (lifecycle, aggregate slots) and part-link metadata, because destruction
 semantics need all three together. A store belongs to one execution context;
 clones are cheap because triple records are frozen and shared.
+
+Live triples are indexed in two orders, predicate -> subject -> objects and
+predicate -> object -> subjects (the hexastore idea, cut down to the orders
+the engine asks for), so a lookup with a bound subject or object reads only
+its matching slice. The first order also maps each live triple to its record.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
+from operator import attrgetter
+from types import MappingProxyType
 
 from . import schemas
 from .errors import (
@@ -23,7 +31,7 @@ from .errors import (
     UndeclaredPredicateError,
     UnknownInstanceError,
 )
-from .fingerprint import stable_fingerprint
+from .fingerprint import streamed_fingerprint
 from .kinds import INDEPENDENT_CONTINUANT
 from .registry import BUILTIN_PREDICATES, Registry
 
@@ -31,8 +39,10 @@ PART_OF = "part_of"
 MEMBER_OF = "member_of"
 HAS_ROLE = "has_role"
 
+_EMPTY = MappingProxyType({})  # what an index lookup that finds nothing returns
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: str
     predicate: str
@@ -46,7 +56,7 @@ class Triple:
         return self.asserted_at <= tick and (self.retracted_at is None or self.retracted_at > tick)
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceRecord:
     id: str
     schema: str
@@ -85,9 +95,12 @@ class RelationStore:
     def __init__(self, registry: Registry):
         self.registry = registry
         self._records: list[Triple] = []
-        self._live: dict[tuple[str, str, str], int] = {}
-        self._live_by_pred: dict[str, set[int]] = {}
+        # pred -> subj -> {obj: record index}, and pred -> obj -> {subj}: live triples only
+        self._by_subject: dict[str, dict[str, dict[str, int]]] = {}
+        self._by_object: dict[str, dict[str, set[str]]] = {}
         self._instances: dict[str, InstanceRecord] = {}
+        self._alive: dict[str, set[str]] = {}  # schema -> ids of its alive instances
+        self._slot_refs: dict[str, set[str]] = {}  # member -> aggregates whose slots hold it
         self._link_meta: dict[tuple[str, str], str] = {}  # (part, whole) -> linkage
 
     # -- instances ------------------------------------------------------------
@@ -98,6 +111,7 @@ class RelationStore:
             raise DuplicateNameError(f"instance id {instance_id!r} already exists")
         record = InstanceRecord(instance_id, schema, tick, slots=slots)
         self._instances[instance_id] = record
+        self._alive.setdefault(schema, set()).add(instance_id)
         return record
 
     def instance(self, instance_id: str) -> InstanceRecord:
@@ -113,10 +127,12 @@ class RelationStore:
         return tuple(self._instances.values())
 
     def alive_of_kind(self, kind: str) -> tuple[str, ...]:
+        is_subkind = self.registry.is_subkind
         out = [
-            rec.id
-            for rec in self._instances.values()
-            if rec.alive and self.registry.is_subkind(rec.schema, kind)
+            instance_id
+            for schema, ids in self._alive.items()
+            if is_subkind(schema, kind)
+            for instance_id in ids
         ]
         return tuple(sorted(out))
 
@@ -131,23 +147,48 @@ class RelationStore:
         return tuple(self._records)
 
     def live_triples(self) -> tuple[Triple, ...]:
-        return tuple(self._records[i] for i in sorted(self._live.values()))
+        indexes = sorted(
+            index
+            for subjects in self._by_subject.values()
+            for objects in subjects.values()
+            for index in objects.values()
+        )
+        return tuple(self._records[i] for i in indexes)
 
     def live_set(self) -> frozenset[tuple[str, str, str]]:
-        return frozenset(self._live)
+        return frozenset(
+            (subject, predicate, obj)
+            for predicate, subjects in self._by_subject.items()
+            for subject, objects in subjects.items()
+            for obj in objects
+        )
+
+    def __contains__(self, key: tuple[str, str, str]) -> bool:
+        """Whether the (subject, predicate, object) triple is live."""
+        subject, predicate, obj = key
+        return obj in self._objects(subject, predicate)
+
+    def _objects(self, subject: str, predicate: str) -> dict[str, int]:
+        """The live objects of (subject, predicate), each with its record index."""
+        return self._by_subject.get(predicate, _EMPTY).get(subject, _EMPTY)
 
     def _add(self, triple: Triple) -> None:
-        index = len(self._records)
+        self._index(triple, len(self._records))
         self._records.append(triple)
-        key = (triple.subject, triple.predicate, triple.object)
-        self._live[key] = index
-        self._live_by_pred.setdefault(triple.predicate, set()).add(index)
 
-    def _retract_index(self, key: tuple[str, str, str], tick: int) -> None:
-        index = self._live.pop(key)
-        triple = self._records[index]
-        self._records[index] = replace(triple, retracted_at=tick)
-        self._live_by_pred[triple.predicate].discard(index)
+    def _index(self, triple: Triple, index: int) -> None:
+        subject, predicate, obj = triple.subject, triple.predicate, triple.object
+        self._by_subject.setdefault(predicate, {}).setdefault(subject, {})[obj] = index
+        self._by_object.setdefault(predicate, {}).setdefault(obj, set()).add(subject)
+
+    def _retract(self, subject: str, predicate: str, obj: str, tick: int) -> None:
+        subjects = self._by_subject[predicate]
+        objects = subjects[subject]
+        index = objects.pop(obj)
+        if not objects:
+            del subjects[subject]
+        _discard(self._by_object[predicate], obj, subject)
+        self._records[index] = replace(self._records[index], retracted_at=tick)
 
     # -- assertion checks --------------------------------------------------------------
 
@@ -179,7 +220,11 @@ class RelationStore:
                     f"cannot be subject of {predicate!r}"
                 )
             target = self._instances.get(obj)
-            if target is None or not registry.is_subkind(target.schema, relation.object_kind):
+            if (
+                target is None
+                or not target.alive
+                or not registry.is_subkind(target.schema, relation.object_kind)
+            ):
                 raise KindMismatchError(
                     f"object of {predicate!r} must be a live {relation.object_kind} "
                     f"instance, got {obj!r}"
@@ -197,12 +242,11 @@ class RelationStore:
                 raise KindMismatchError(
                     f"{obj!r} is not a determinant of quality {slot.ontology!r}"
                 )
-            for key in self._live:
-                if key[0] == subject and key[1] == predicate and key[2] != obj:
-                    if key not in pending_deletes:
-                        raise FunctionalConflictError(
-                            f"{subject!r} already has a live {predicate!r} value {key[2]!r}"
-                        )
+            for other in sorted(self._objects(subject, predicate)):
+                if other != obj and (subject, predicate, other) not in pending_deletes:
+                    raise FunctionalConflictError(
+                        f"{subject!r} already has a live {predicate!r} value {other!r}"
+                    )
             return
 
         if registry.is_determinable(predicate):
@@ -215,8 +259,10 @@ class RelationStore:
         registry = self.registry
         if predicate in (PART_OF, MEMBER_OF):
             target = self._instances.get(obj)
-            if target is None:
-                raise KindMismatchError(f"object of {predicate!r} must be an instance, got {obj!r}")
+            if target is None or not target.alive:
+                raise KindMismatchError(
+                    f"object of {predicate!r} must be a live instance, got {obj!r}"
+                )
             if predicate == MEMBER_OF and not registry.is_subkind(
                 target.schema, "ObjectAggregate"
             ):
@@ -238,17 +284,16 @@ class RelationStore:
 
     def assert_relation(self, subject: str, predicate: str, obj: str, tick: int) -> bool:
         """Add a live triple. Returns False (no-op) if it is already live."""
-        if (subject, predicate, obj) in self._live:
+        if obj in self._objects(subject, predicate):
             return False
         self.check_assert(subject, predicate, obj)
         self._add(Triple(subject, predicate, obj, tick))
         return True
 
     def retract_relation(self, subject: str, predicate: str, obj: str, tick: int) -> None:
-        key = (subject, predicate, obj)
-        if key not in self._live:
-            raise NoSuchLiveTripleError(f"no live triple {key!r}")
-        self._retract_index(key, tick)
+        if obj not in self._objects(subject, predicate):
+            raise NoSuchLiveTripleError(f"no live triple {(subject, predicate, obj)!r}")
+        self._retract(subject, predicate, obj, tick)
 
     def link_part(self, part: str, whole: str, linkage: str, tick: int) -> None:
         """Attach ``part`` into ``whole`` with the given linkage discipline."""
@@ -283,25 +328,41 @@ class RelationStore:
         object_term = _substitute(pattern.object, seed)
 
         if at is None:
-            indexes = sorted(self._live_by_pred.get(pattern.predicate, ()))
-            candidates = [self._records[i] for i in indexes]
+            candidates = self._live_pairs(pattern.predicate, subject_term, object_term)
         else:
-            candidates = [
-                t
+            candidates = sorted(
+                (t.subject, t.object)
                 for t in self._records
                 if t.predicate == pattern.predicate and t.live_at(at)
-            ]
-        candidates.sort(key=lambda t: (t.subject, t.object))
+            )
 
         out = []
-        for triple in candidates:
+        for subject, obj in candidates:
             result = dict(seed)
-            if not _match_term(subject_term, triple.subject, result):
+            if not _match_term(subject_term, subject, result):
                 continue
-            if not _match_term(object_term, triple.object, result):
+            if not _match_term(object_term, obj, result):
                 continue
             out.append(result)
         return out
+
+    def _live_pairs(
+        self, predicate: str, subject_term: schemas.Term, object_term: schemas.Term
+    ) -> list[tuple[str, str]]:
+        """Live (subject, object) pairs of ``predicate`` that a bound subject or
+        object allows, in (subject, object) order."""
+        by_subject = self._by_subject.get(predicate, _EMPTY)
+        if subject_term.kind != schemas.VAR:
+            subject = subject_term.value
+            objects = by_subject.get(subject, _EMPTY)
+            if object_term.kind != schemas.VAR:
+                return [(subject, object_term.value)] if object_term.value in objects else []
+            return [(subject, obj) for obj in sorted(objects)]
+        if object_term.kind != schemas.VAR:
+            obj = object_term.value
+            subjects = self._by_object.get(predicate, _EMPTY).get(obj, ())
+            return [(subject, obj) for subject in sorted(subjects)]
+        return [(s, o) for s in sorted(by_subject) for o in sorted(by_subject[s])]
 
     def matches(
         self,
@@ -366,8 +427,12 @@ class RelationStore:
     ) -> None:
         record = self.instance(instance_id)
         assert record.slots is not None
-        record.slots[slot] = member_id
         self.assert_relation(member_id, MEMBER_OF, instance_id, tick)
+        previous = record.slots[slot]
+        record.slots[slot] = member_id
+        self._slot_refs.setdefault(member_id, set()).add(instance_id)
+        if previous is not None and previous not in record.slots.values():
+            _discard(self._slot_refs, previous, instance_id)
         for link in aggregate.links:
             subject = record.slots.get(link.subject_slot)
             obj = record.slots.get(link.object_slot)
@@ -402,17 +467,16 @@ class RelationStore:
         if not root.alive:
             raise AlreadyDestroyedError(f"{instance_id!r} is already destroyed")
 
+        wholes = self._by_object.get(PART_OF, _EMPTY)
         order = [instance_id]
         seen = {instance_id}
-        queue = [instance_id]
+        queue = deque(order)
         while queue:
-            whole = queue.pop(0)
+            whole = queue.popleft()
             children = sorted(
-                key[0]
-                for key in self._live
-                if key[1] == PART_OF
-                and key[2] == whole
-                and self.linkage(key[0], whole) == schemas.COMPOSITION
+                part
+                for part in wholes.get(whole, ())
+                if self.linkage(part, whole) == schemas.COMPOSITION
             )
             for part in children:
                 if part not in seen:
@@ -420,21 +484,25 @@ class RelationStore:
                     order.append(part)
                     queue.append(part)
 
+        touched: set[tuple[str, str, str]] = set()
         for dest in order:
-            self._instances[dest].destroyed_at = tick
-
-        touched = sorted(
-            key for key in self._live if key[0] in seen or key[2] in seen
-        )
-        for key in touched:
-            self._retract_index(key, tick)
+            record = self._instances[dest]
+            record.destroyed_at = tick
+            self._alive[record.schema].discard(dest)
+            for predicate, objects in self._by_subject.items():
+                touched.update((dest, predicate, obj) for obj in objects.get(dest, ()))
+            for predicate, subjects in self._by_object.items():
+                touched.update((subj, predicate, dest) for subj in subjects.get(dest, ()))
+        for key in sorted(touched):
+            self._retract(*key, tick)
 
         # Slots pointing at a destroyed member revert to unbound in the live view.
-        for record in self._instances.values():
-            if record.slots:
-                for slot, member in record.slots.items():
-                    if member in seen:
-                        record.slots[slot] = None
+        for dest in order:
+            for aggregate in self._slot_refs.pop(dest, ()):
+                slots = self._instances[aggregate].slots
+                for slot, member in slots.items():
+                    if member == dest:
+                        slots[slot] = None
         return order
 
     # -- snapshots -------------------------------------------------------------------------
@@ -442,26 +510,36 @@ class RelationStore:
     def clone(self) -> "RelationStore":
         other = RelationStore(self.registry)
         other._records = list(self._records)
-        other._live = dict(self._live)
-        other._live_by_pred = {p: set(ix) for p, ix in self._live_by_pred.items()}
+        for index, triple in enumerate(other._records):
+            if triple.retracted_at is None:
+                other._index(triple, index)
         other._instances = {i: rec.copy() for i, rec in self._instances.items()}
+        other._alive = {schema: set(ids) for schema, ids in self._alive.items()}
+        other._slot_refs = {member: set(ids) for member, ids in self._slot_refs.items()}
         other._link_meta = dict(self._link_meta)
         return other
 
     def fingerprint(self) -> str:
-        payload = {
-            "records": [
+        return streamed_fingerprint({
+            "records": (
                 [t.subject, t.predicate, t.object, t.asserted_at, t.retracted_at]
                 for t in self._records
-            ],
-            "instances": [
+            ),
+            "instances": (
                 [r.id, r.schema, r.created_at, r.destroyed_at,
                  sorted(r.slots.items()) if r.slots is not None else None]
-                for r in sorted(self._instances.values(), key=lambda r: r.id)
-            ],
+                for r in sorted(self._instances.values(), key=attrgetter("id"))
+            ),
             "links": sorted([p, w, l] for (p, w), l in self._link_meta.items()),
-        }
-        return stable_fingerprint(payload)
+        })
+
+
+def _discard(index: dict[str, set[str]], key: str, value: str) -> None:
+    """Remove ``value`` from ``index[key]``, dropping the key once its set empties."""
+    values = index[key]
+    values.discard(value)
+    if not values:
+        del index[key]
 
 
 def _substitute(term: schemas.Term, bindings: dict[str, str]) -> schemas.Term:

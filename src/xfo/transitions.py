@@ -128,9 +128,8 @@ def apply_transitional(
             creates.append(ground)
 
     # Validate the whole unit before touching the store.
-    live = store.live_set()
     for ground in deletes:
-        if ground not in live:
+        if ground not in store:
             return BlockedTransition(
                 transitional.name, bearer, None, f"delete target not live: {ground}"
             )
@@ -138,7 +137,7 @@ def apply_transitional(
     placed: set[tuple[str, str, str]] = set()
     for ground in creates:
         subject, predicate, obj = ground
-        if ground in live and ground not in pending:
+        if ground in store and ground not in pending:
             continue  # identical live triple: create is a no-op
         try:
             store.check_assert(subject, predicate, obj, pending_deletes=pending)

@@ -1,5 +1,5 @@
 import pytest
-from helpers import compile_ok
+from helpers import compile_ok, world_from
 
 from xfo import RegistryBuilder
 from xfo.errors import (
@@ -11,6 +11,7 @@ from xfo.errors import (
     SubjectDestroyedError,
     UndeclaredPredicateError,
 )
+from xfo.microworld import Microworld
 from xfo.relations import RelationStore
 from xfo.schemas import (
     Pattern,
@@ -360,6 +361,48 @@ def test_destroy_aggregate_leaves_members_alive(orchestra_store):
     for member in ("violinist", "trumpeter", "timpanist", "maestro"):
         assert orchestra_store.instance(member).alive
     assert not orchestra_store.matches(Pattern("member_of", var("m"), var("a")))
+
+
+# --- relation endpoints must be live ----------------------------------------------------
+
+
+def test_destroyed_relation_object_rejected(corpus):
+    world = world_from(corpus, "crash_test")
+    world.destroy("hammer")
+    clock = world.clock
+    with pytest.raises(KindMismatchError, match="must be a live Sledgehammer"):
+        world.assert_relation("shield", "struck_by", "hammer")
+    assert ("shield", "struck_by", "hammer") not in world.store.live_set()
+    assert world.clock == clock
+
+
+def test_destroyed_part_of_target_rejected(corpus):
+    world = Microworld(corpus.registry)
+    world.spawn("Windshield", {"condition": "intact"}, instance_id="shield")
+    world.spawn("Clock", {"tension": "wound"}, instance_id="clock")
+    world.destroy("clock")
+    with pytest.raises(KindMismatchError, match="must be a live instance"):
+        world.assert_relation("shield", "part_of", "clock")
+    assert not world.store.matches(Pattern("part_of", const("shield"), var("w")))
+
+
+def test_destroyed_member_of_target_rejected(orchestra_store):
+    schema = _aggregate_schema(orchestra_store)
+    orchestra_store.instantiate_aggregate_from_member(schema, "violinist", "strings", 2, "orch1")
+    orchestra_store.destroy_instance("orch1", 3)
+    with pytest.raises(KindMismatchError, match="must be a live instance"):
+        orchestra_store.assert_relation("trumpeter", "member_of", "orch1", 4)
+    with pytest.raises(KindMismatchError):
+        orchestra_store.bind_member("orch1", "brass", "trumpeter", 4)
+    # The rejected binding leaves the slot as it was.
+    assert dict(orchestra_store.aggregate_view("orch1").slots)["brass"] is None
+
+
+def test_located_in_still_accepts_opaque_values(corpus):
+    world = world_from(corpus, "crash_test")
+    world.destroy("hammer")
+    assert world.assert_relation("shield", "located_in", "garage")
+    assert world.assert_relation("shield", "located_in", "hammer")
 
 
 def test_query_determinism_across_rebuilds():
