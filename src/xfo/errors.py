@@ -1,8 +1,9 @@
 """Exception types raised across the engine.
 
 Everything derives from XfoError so callers can catch the whole family.
-Compile-level code converts most of these into positioned diagnostics
-instead of letting them escape.
+Registry resolution reports findings first; the compiler turns each into a
+positioned diagnostic, and ``RegistryBuilder.resolve`` raises the registry
+errors below only for API callers.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ class DanglingReferenceError(XfoError):
     """One or more references that do not resolve; carries all of them."""
 
     def __init__(self, references: list[tuple[str, str]]):
-        # (owner name, description of the missing reference)
+        # (owner name, message naming the owner and the missing reference)
         self.references = sorted(references)
-        lines = ", ".join(f"{owner}: {ref}" for owner, ref in self.references)
-        super().__init__(f"unresolved references: {lines}")
+        super().__init__(
+            "unresolved references: " + ", ".join(ref for _, ref in self.references)
+        )
 
 
 class InheritanceCycleError(XfoError):

@@ -221,13 +221,15 @@ Declaration = (
 
 @dataclass(frozen=True)
 class SourceModule:
-    """One parsed .xfo module: imports plus declarations, with a facet label."""
+    """One parsed .xfo module: imports plus declarations, with a facet label
+    and the file name its diagnostics carry."""
 
     name: str
     facet: str | None
     imports: tuple[ImportNode, ...]
     decls: tuple
     span: Span = _span_field()
+    file: str = field(compare=False, kw_only=True, default="<input>")
 
     def declared_names(self) -> tuple[str, ...]:
         names = []

@@ -15,29 +15,16 @@ from ..diagnostics import (
     DUPLICATE_MODULE,
     DUPLICATE_NAME,
     ERROR,
-    INHERITANCE_CYCLE,
-    INVALID_CHAIN,
-    RECURSIVE_AGGREGATE,
-    RECURSIVE_COMPOSITION,
     RESERVED_NAME,
     UNBOUND_VARIABLE,
     Diagnostic,
     Span,
     has_errors,
 )
-from ..errors import (
-    DanglingReferenceError,
-    DuplicateNameError,
-    InheritanceCycleError,
-    InvalidChainError,
-    RecursiveAggregateError,
-    RecursiveCompositionError,
-    ReservedUpperTaxonomyNameError,
-    UnboundVariableError,
-)
+from ..errors import DuplicateNameError, ReservedUpperTaxonomyNameError
 from ..fingerprint import stable_fingerprint
 from ..kinds import is_upper
-from ..registry import BUILTIN_PREDICATES, Registry, RegistryBuilder, validate_registry
+from ..registry import BUILTIN_PREDICATES, Registry, RegistryBuilder, validation_findings
 from . import ast
 from .printer import module_to_source
 
@@ -72,24 +59,43 @@ def module_fingerprint(module: ast.SourceModule) -> str:
     return stable_fingerprint(module_to_source(module))
 
 
-def _file_of(module: ast.SourceModule) -> str:
-    return f"{module.name}.xfo"
-
-
 class _Lowering:
     """Lowers one module's declarations with its visible-name set."""
 
-    def __init__(self, module: ast.SourceModule, visible: dict[str, str],
-                 visible_determinables: frozenset[str],
-                 diagnostics: list[Diagnostic]):
-        self.module = module
-        self.file = _file_of(module)
-        self.visible = visible  # plain name -> owning module
-        self.visible_determinables = visible_determinables
+    def __init__(self, module: ast.SourceModule, declared: dict[str, tuple[str, ...]],
+                 determinables: dict[str, tuple[str, ...]], diagnostics: list[Diagnostic],
+                 builder: RegistryBuilder, spans: dict[str, tuple[str, Span]]):
+        self.file = module.file
         self.diagnostics = diagnostics
+        self.builder = builder
+        self.spans = spans  # schema name -> (file, span)
+        # Own declarations plus those of imported modules: plain name -> owning module.
+        self.visible = dict.fromkeys(declared[module.name], module.name)
+        dets = set(determinables[module.name])
+        for imp in module.imports:
+            if imp.module not in declared:
+                self.error(
+                    DANGLING_REFERENCE,
+                    f"imported module {imp.module!r} is not among the compiled modules",
+                    imp.span,
+                )
+                continue
+            for name in declared[imp.module]:
+                self.visible.setdefault(name, imp.module)
+            dets.update(determinables[imp.module])
+        self.visible_determinables = frozenset(dets)
 
     def error(self, code: str, message: str, span: Span) -> None:
         self.diagnostics.append(Diagnostic(ERROR, code, message, self.file, span))
+
+    def register(self, schema: schemas.Schema, span: Span) -> None:
+        try:
+            self.builder.register(schema)
+            self.spans[schema.name] = (self.file, span)
+        except ReservedUpperTaxonomyNameError as exc:
+            self.error(RESERVED_NAME, str(exc), span)
+        except DuplicateNameError as exc:
+            self.error(DUPLICATE_NAME, str(exc), span)
 
     def resolve_ref(self, name: str, span: Span) -> str | None:
         """Resolve a possibly qualified reference to a plain registry name."""
@@ -195,7 +201,7 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
                     ERROR,
                     DUPLICATE_MODULE,
                     f"module {module.name!r} appears twice with different content",
-                    _file_of(module),
+                    module.file,
                     module.span,
                 )
             )
@@ -211,59 +217,20 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
         module.name: module.determinable_names() for module in unique
     }
 
-    # Import check + per-module visible names (own + imported declarations).
-    visibility: dict[str, dict[str, str]] = {}
-    visible_dets: dict[str, frozenset[str]] = {}
-    for module in unique:
-        visible: dict[str, str] = {}
-        dets: set[str] = set(determinables[module.name])
-        for name in declared[module.name]:
-            visible[name] = module.name
-        for imp in module.imports:
-            if imp.module not in declared:
-                diagnostics.append(
-                    Diagnostic(
-                        ERROR,
-                        DANGLING_REFERENCE,
-                        f"imported module {imp.module!r} is not among the compiled modules",
-                        _file_of(module),
-                        imp.span,
-                    )
-                )
-                continue
-            for name in declared[imp.module]:
-                visible.setdefault(name, imp.module)
-            dets.update(determinables[imp.module])
-        visibility[module.name] = visible
-        visible_dets[module.name] = frozenset(dets)
-
     builder = RegistryBuilder()
-    spans: dict[str, tuple[str, Span]] = {}  # schema name -> (file, span)
+    spans: dict[str, tuple[str, Span]] = {}
     worlds: dict[str, schemas.WorldDef] = {}
     claims: list[schemas.ClaimDef] = []
     infos: list[ModuleInfo] = []
 
-    def register(schema, file: str, span: Span) -> None:
-        try:
-            builder.register(schema)
-            spans[schema.name] = (file, span)
-        except ReservedUpperTaxonomyNameError as exc:
-            diagnostics.append(Diagnostic(ERROR, RESERVED_NAME, str(exc), file, span))
-        except DuplicateNameError as exc:
-            diagnostics.append(Diagnostic(ERROR, DUPLICATE_NAME, str(exc), file, span))
-
     for module in unique:
-        lowering = _Lowering(
-            module, visibility[module.name], visible_dets[module.name], diagnostics
-        )
-        file = _file_of(module)
+        lowering = _Lowering(module, declared, determinables, diagnostics, builder, spans)
+        register = lowering.register
         for decl in module.decls:
             if isinstance(decl, ast.QualityNode):
-                register(
-                    schemas.QualityOntology(decl.name, decl.determinants), file, decl.span
-                )
+                register(schemas.QualityOntology(decl.name, decl.determinants), decl.span)
             elif isinstance(decl, ast.ObjectNode):
-                _lower_object(decl, lowering, register, file)
+                _lower_object(decl, lowering)
             elif isinstance(decl, ast.AggregateNode):
                 members = tuple(
                     schemas.AggregateMember(m.slot, lowering.resolve_ref(m.schema, m.span) or m.schema)
@@ -277,7 +244,7 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
                     )
                     for l in decl.links
                 )
-                register(schemas.AggregateSchema(decl.name, members, links), file, decl.span)
+                register(schemas.AggregateSchema(decl.name, members, links), decl.span)
             elif isinstance(decl, ast.RelationNode):
                 subject = lowering.resolve_ref(decl.subject_kind, decl.span)
                 obj = lowering.resolve_ref(decl.object_kind, decl.span)
@@ -288,7 +255,6 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
                         obj or decl.object_kind,
                         decl.relational_quality,
                     ),
-                    file,
                     decl.span,
                 )
             elif isinstance(decl, ast.TransitionalNode):
@@ -307,13 +273,11 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
                     schemas.TransitionalSchema(
                         decl.name, bearer, tuple(guards), tuple(edits)
                     ),
-                    file,
                     decl.span,
                 )
             elif isinstance(decl, ast.ChainNode):
                 register(
                     schemas.ChainSchema(decl.name, decl.kind, lowering.steps(decl.steps)),
-                    file,
                     decl.span,
                 )
             elif isinstance(decl, ast.DispositionNode):
@@ -328,33 +292,20 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
                         trigger=trigger,
                         realization=realization,
                     ),
-                    file,
                     decl.span,
                 )
             elif isinstance(decl, ast.WorldNode):
                 world = _lower_world(decl, lowering)
                 if decl.name in worlds:
-                    diagnostics.append(
-                        Diagnostic(
-                            ERROR,
-                            DUPLICATE_NAME,
-                            f"world {decl.name!r} is already defined",
-                            file,
-                            decl.span,
-                        )
+                    lowering.error(
+                        DUPLICATE_NAME, f"world {decl.name!r} is already defined", decl.span
                     )
                 else:
                     worlds[decl.name] = world
             elif isinstance(decl, ast.ClaimNode):
                 if any(c.name == decl.name for c in claims):
-                    diagnostics.append(
-                        Diagnostic(
-                            ERROR,
-                            DUPLICATE_NAME,
-                            f"claim {decl.name!r} is already defined",
-                            file,
-                            decl.span,
-                        )
+                    lowering.error(
+                        DUPLICATE_NAME, f"claim {decl.name!r} is already defined", decl.span
                     )
                 else:
                     claims.append(
@@ -375,55 +326,19 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
             )
         )
 
-    if has_errors(diagnostics):
-        return CompileResult(None, worlds, tuple(claims), tuple(infos), diagnostics)
-
-    def anchored(code: str, message: str, owner: str | None) -> Diagnostic:
-        file, span = spans.get(owner, ("<registry>", None)) if owner else ("<registry>", None)
-        return Diagnostic(ERROR, code, message, file, span)
-
-    try:
-        registry = builder.resolve()
-    except DanglingReferenceError as exc:
-        for owner, ref in exc.references:
-            diagnostics.append(anchored(DANGLING_REFERENCE, f"{owner}: {ref} not found", owner))
-        return CompileResult(None, worlds, tuple(claims), tuple(infos), diagnostics)
-    except InheritanceCycleError as exc:
-        diagnostics.append(anchored(INHERITANCE_CYCLE, str(exc), None))
-        return CompileResult(None, worlds, tuple(claims), tuple(infos), diagnostics)
-    except UnboundVariableError as exc:
-        diagnostics.append(anchored(UNBOUND_VARIABLE, str(exc), None))
-        return CompileResult(None, worlds, tuple(claims), tuple(infos), diagnostics)
-    except RecursiveAggregateError as exc:
-        diagnostics.append(anchored(RECURSIVE_AGGREGATE, str(exc), None))
-        return CompileResult(None, worlds, tuple(claims), tuple(infos), diagnostics)
-    except RecursiveCompositionError as exc:
-        diagnostics.append(anchored(RECURSIVE_COMPOSITION, str(exc), None))
-        return CompileResult(None, worlds, tuple(claims), tuple(infos), diagnostics)
-    except InvalidChainError as exc:
-        diagnostics.append(anchored(INVALID_CHAIN, str(exc), None))
-        return CompileResult(None, worlds, tuple(claims), tuple(infos), diagnostics)
-
-    for item in validate_registry(registry):
-        owner = _owner_of(item.message)
-        file, span = spans.get(owner, ("<registry>", None))
-        diagnostics.append(Diagnostic(item.severity, item.code, item.message, file, span))
-
-    if has_errors(diagnostics):
-        return CompileResult(None, worlds, tuple(claims), tuple(infos), diagnostics)
+    registry = None
+    if not has_errors(diagnostics):
+        registry, findings = builder.resolve_with_findings()
+        if registry is not None:
+            findings = validation_findings(registry)
+        for code, owner, message in findings:
+            diagnostics.append(Diagnostic(ERROR, code, message, *spans[owner]))
+        if findings:
+            registry = None
     return CompileResult(registry, worlds, tuple(claims), tuple(infos), diagnostics)
 
 
-def _owner_of(message: str) -> str:
-    # Validator messages quote the owning schema name first.
-    start = message.find("'")
-    if start == -1:
-        return ""
-    end = message.find("'", start + 1)
-    return message[start + 1 : end] if end != -1 else ""
-
-
-def _lower_object(decl: ast.ObjectNode, lowering: _Lowering, register, file: str) -> None:
+def _lower_object(decl: ast.ObjectNode, lowering: _Lowering) -> None:
     qualities = []
     parts = []
     realizables = []
@@ -442,28 +357,26 @@ def _lower_object(decl: ast.ObjectNode, lowering: _Lowering, register, file: str
                 schemas.PartSlot(item.slot, schema or item.schema, item.function, linkage)
             )
         elif isinstance(item, ast.FunctionNode):
-            register(
+            lowering.register(
                 schemas.RealizableSchema(
                     item.name,
                     schemas.FUNCTION,
                     bearer_kind=decl.name,
                     serves=item.serves,
                 ),
-                file,
                 item.span,
             )
             realizables.append(item.name)
         elif isinstance(item, ast.RoleNode):
-            register(
+            lowering.register(
                 schemas.RealizableSchema(item.name, schemas.ROLE, bearer_kind=decl.name),
-                file,
                 item.span,
             )
             realizables.append(item.name)
     parent = None
     if decl.parent is not None:
         parent = lowering.resolve_ref(decl.parent, decl.span)
-    register(
+    lowering.register(
         schemas.ThickObjectSchema(
             decl.name,
             parent=parent,
@@ -471,7 +384,6 @@ def _lower_object(decl: ast.ObjectNode, lowering: _Lowering, register, file: str
             parts=tuple(parts),
             realizables=tuple(realizables),
         ),
-        file,
         decl.span,
     )
 

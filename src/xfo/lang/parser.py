@@ -164,7 +164,7 @@ class Parser:
                 self.sync()
         end = self.tokens[-1].span.offset  # EOF offset == source length
         return ast.SourceModule(
-            name, facet, tuple(imports), tuple(decls), span=Span(1, 1, end, 0)
+            name, facet, tuple(imports), tuple(decls), span=Span(1, 1, end, 0), file=self.file
         )
 
     # -- declarations -------------------------------------------------------------

@@ -3,6 +3,9 @@ reference checking, fingerprinting), and the post-resolve validator.
 
 A RegistryBuilder accumulates schemas in a single context; ``resolve`` yields
 an immutable Registry that may be shared across concurrent readers.
+Resolution and validation report ``(code, owner, message)`` findings, where
+``code`` is a diagnostic code and ``owner`` the schema at fault; the compiler
+anchors each at its owner's declaration.
 """
 
 from __future__ import annotations
@@ -29,6 +32,17 @@ from .fingerprint import stable_fingerprint
 # Predicates available in every registry. Subject must be an alive instance;
 # object rules vary per predicate (see relations.RelationStore).
 BUILTIN_PREDICATES = ("part_of", "member_of", "located_in", "has_role", "participates_in")
+
+Finding = tuple[str, str, str]  # (diagnostic code, owning schema name, message)
+
+# Typed errors ``RegistryBuilder.resolve`` raises for API callers.
+_RESOLVE_ERRORS = {
+    diag.INHERITANCE_CYCLE: InheritanceCycleError,
+    diag.UNBOUND_VARIABLE: UnboundVariableError,
+    diag.INVALID_CHAIN: InvalidChainError,
+    diag.RECURSIVE_AGGREGATE: RecursiveAggregateError,
+    diag.RECURSIVE_COMPOSITION: RecursiveCompositionError,
+}
 
 
 def _schema_payload(schema: schemas.Schema) -> dict:
@@ -205,24 +219,44 @@ class RegistryBuilder:
     def resolve(self) -> Registry:
         """Flatten inheritance, check every cross-reference, and freeze.
 
-        Raises InheritanceCycleError, DanglingReferenceError (carrying the
-        full list), UnboundVariableError, RecursiveAggregateError,
-        RecursiveCompositionError, or InvalidChainError. Deterministic: the
-        same definitions always produce the same fingerprint.
+        For API callers: raises the typed error of the first finding of
+        ``resolve_with_findings`` (InheritanceCycleError,
+        DanglingReferenceError carrying every dangling reference,
+        UnboundVariableError, InvalidChainError, RecursiveAggregateError or
+        RecursiveCompositionError). Deterministic: the same definitions
+        always produce the same fingerprint.
+        """
+        registry, findings = self.resolve_with_findings()
+        if registry is not None:
+            return registry
+        code, _, message = findings[0]
+        if code == diag.DANGLING_REFERENCE:
+            raise DanglingReferenceError(
+                [(owner, text) for kind, owner, text in findings if kind == code]
+            )
+        raise _RESOLVE_ERRORS[code](message)
+
+    def resolve_with_findings(self) -> tuple[Registry | None, list[Finding]]:
+        """Resolve, reporting every finding; the registry is None iff any.
+
+        An inheritance cycle stops resolution before flattening, which needs
+        a DAG; otherwise every check runs and reports all it finds.
         """
         table = dict(self._schemas)
-        self._check_inheritance_cycles(table)
-        flattened = self._flatten_objects(table)
+        findings: list[Finding] = []
+        self._check_inheritance_cycles(table, findings)
+        if findings:
+            return None, findings
         resolved = dict(table)
-        resolved.update(flattened)
+        resolved.update(self._flatten_objects(table))
         self._auto_register_needs(resolved)
-        dangling = self._collect_dangling(resolved)
-        if dangling:
-            raise DanglingReferenceError(dangling)
-        self._check_transitional_variables(resolved)
-        self._check_chain_bodies(resolved)
-        self._check_aggregate_recursion(resolved)
-        self._check_part_recursion(resolved)
+        self._collect_dangling(resolved, findings)
+        self._check_transitional_variables(resolved, findings)
+        self._check_chain_bodies(resolved, findings)
+        self._check_aggregate_recursion(resolved, findings)
+        self._check_part_recursion(resolved, findings)
+        if findings:
+            return None, findings
         kind_table = self._build_kind_table(resolved)
 
         payload = {name: _schema_payload(s) for name, s in sorted(resolved.items())}
@@ -231,20 +265,26 @@ class RegistryBuilder:
             name: s for name, s in self._schemas.items()
             if isinstance(s, schemas.ThickObjectSchema)
         }
-        return Registry(resolved, raw_objects, kind_table, fingerprint)
+        return Registry(resolved, raw_objects, kind_table, fingerprint), []
 
-    def _check_inheritance_cycles(self, table: dict) -> None:
+    def _check_inheritance_cycles(self, table: dict, findings: list[Finding]) -> None:
+        on_cycle: set[str] = set()
         for name, schema in table.items():
-            if not isinstance(schema, schemas.ThickObjectSchema):
+            if not isinstance(schema, schemas.ThickObjectSchema) or name in on_cycle:
                 continue
             seen = {name}
             cursor = schema.parent
-            while cursor is not None:
-                if cursor in seen:
-                    raise InheritanceCycleError(f"inheritance cycle through {cursor!r}")
+            while cursor is not None and cursor not in seen:
                 seen.add(cursor)
                 parent = table.get(cursor)
                 cursor = parent.parent if isinstance(parent, schemas.ThickObjectSchema) else None
+            # The walk returns to its start only when the start lies on the
+            # cycle; then ``seen`` is exactly the cycle, reported once.
+            if cursor == name:
+                on_cycle |= seen
+                findings.append(
+                    (diag.INHERITANCE_CYCLE, name, f"inheritance cycle through {name!r}")
+                )
 
     def _flatten_objects(self, table: dict) -> dict[str, schemas.ThickObjectSchema]:
         flat: dict[str, schemas.ThickObjectSchema] = {}
@@ -272,8 +312,9 @@ class RegistryBuilder:
                 if schema.serves not in resolved:
                     resolved[schema.serves] = schemas.Need(schema.serves)
 
-    def _collect_dangling(self, resolved: dict) -> list[tuple[str, str]]:
-        missing: list[tuple[str, str]] = []
+    def _collect_dangling(self, resolved: dict, findings: list[Finding]) -> None:
+        def missing(owner: str, ref: str) -> None:
+            findings.append((diag.DANGLING_REFERENCE, owner, f"{owner}: {ref} not found"))
 
         def kind_exists(name: str) -> bool:
             if kinds.is_upper(name):
@@ -294,7 +335,7 @@ class RegistryBuilder:
 
         def check_pattern(owner: str, pattern: schemas.Pattern, bearer_kind: str | None) -> None:
             if not predicate_exists(pattern.predicate):
-                missing.append((owner, f"predicate {pattern.predicate!r}"))
+                missing(owner, f"predicate {pattern.predicate!r}")
                 return
             # Determinant constants are checkable when the subject is the bearer.
             if bearer_kind is None or pattern.subject != schemas.BEARER:
@@ -312,45 +353,43 @@ class RegistryBuilder:
                 and obj.kind in (schemas.CONST, schemas.TEXT)
                 and obj.value not in ontology.determinants
             ):
-                missing.append(
-                    (owner, f"determinant {obj.value!r} not in quality {slot.ontology!r}")
-                )
+                missing(owner, f"determinant {obj.value!r} not in quality {slot.ontology!r}")
 
         for name, schema in resolved.items():
             if isinstance(schema, schemas.ThickObjectSchema):
                 if schema.parent is not None and not isinstance(
                     resolved.get(schema.parent), schemas.ThickObjectSchema
                 ):
-                    missing.append((name, f"parent {schema.parent!r}"))
+                    missing(name, f"parent {schema.parent!r}")
                 for slot in schema.qualities:
                     if not isinstance(resolved.get(slot.ontology), schemas.QualityOntology):
-                        missing.append((name, f"quality ontology {slot.ontology!r}"))
+                        missing(name, f"quality ontology {slot.ontology!r}")
                 for part in schema.parts:
                     if not isinstance(resolved.get(part.schema), schemas.ThickObjectSchema):
-                        missing.append((name, f"part schema {part.schema!r}"))
+                        missing(name, f"part schema {part.schema!r}")
                 for rname in schema.realizables:
                     if not isinstance(resolved.get(rname), schemas.RealizableSchema):
-                        missing.append((name, f"realizable {rname!r}"))
+                        missing(name, f"realizable {rname!r}")
             elif isinstance(schema, schemas.RelationSchema):
                 for ref in (schema.subject_kind, schema.object_kind):
                     if not kind_exists(ref):
-                        missing.append((name, f"kind {ref!r}"))
+                        missing(name, f"kind {ref!r}")
             elif isinstance(schema, schemas.RealizableSchema):
                 if schema.bearer_kind is not None and not kind_exists(schema.bearer_kind):
-                    missing.append((name, f"bearer kind {schema.bearer_kind!r}"))
+                    missing(name, f"bearer kind {schema.bearer_kind!r}")
                 if schema.context is not None and not isinstance(
                     resolved.get(schema.context), schemas.AggregateSchema
                 ):
-                    missing.append((name, f"context aggregate {schema.context!r}"))
+                    missing(name, f"context aggregate {schema.context!r}")
                 if schema.realization is not None and not isinstance(
                     resolved.get(schema.realization), schemas.TransitionalSchema
                 ):
-                    missing.append((name, f"realization {schema.realization!r}"))
+                    missing(name, f"realization {schema.realization!r}")
                 if schema.trigger is not None:
                     check_pattern(name, schema.trigger, schema.bearer_kind)
             elif isinstance(schema, schemas.TransitionalSchema):
                 if schema.bearer_kind is not None and not kind_exists(schema.bearer_kind):
-                    missing.append((name, f"bearer kind {schema.bearer_kind!r}"))
+                    missing(name, f"bearer kind {schema.bearer_kind!r}")
                 for pattern in schema.guards:
                     check_pattern(name, pattern, schema.bearer_kind)
                 for edit in schema.edits:
@@ -358,21 +397,21 @@ class RegistryBuilder:
             elif isinstance(schema, schemas.AggregateSchema):
                 for member in schema.members:
                     if not kind_exists(member.schema):
-                        missing.append((name, f"member schema {member.schema!r}"))
+                        missing(name, f"member schema {member.schema!r}")
                 slots = {m.slot for m in schema.members}
                 for link in schema.links:
                     if not predicate_exists(link.relation):
-                        missing.append((name, f"link relation {link.relation!r}"))
+                        missing(name, f"link relation {link.relation!r}")
                     for slot in (link.subject_slot, link.object_slot):
                         if slot not in slots:
-                            missing.append((name, f"link slot {slot!r}"))
+                            missing(name, f"link slot {slot!r}")
             elif isinstance(schema, schemas.ChainSchema):
                 for step in schemas.walk_steps(schema.steps):
                     if isinstance(step, schemas.DoStep):
                         if not isinstance(
                             resolved.get(step.transitional), schemas.TransitionalSchema
                         ):
-                            missing.append((name, f"transitional {step.transitional!r}"))
+                            missing(name, f"transitional {step.transitional!r}")
                     else:
                         condition = (
                             step.condition
@@ -380,37 +419,41 @@ class RegistryBuilder:
                             else None
                         )
                         if condition is not None and not predicate_exists(condition.predicate):
-                            missing.append((name, f"predicate {condition.predicate!r}"))
+                            missing(name, f"predicate {condition.predicate!r}")
             elif isinstance(schema, schemas.ProcessSchema):
                 for ref in schema.participants:
                     if not kind_exists(ref):
-                        missing.append((name, f"participant kind {ref!r}"))
-        return missing
+                        missing(name, f"participant kind {ref!r}")
 
-    def _check_transitional_variables(self, resolved: dict) -> None:
+    def _check_transitional_variables(self, resolved: dict, findings: list[Finding]) -> None:
         for schema in resolved.values():
             if isinstance(schema, schemas.TransitionalSchema):
                 loose = schema.unbound_variables()
                 if loose:
-                    raise UnboundVariableError(
+                    findings.append((
+                        diag.UNBOUND_VARIABLE, schema.name,
                         f"transitional {schema.name!r} edits unbound "
-                        f"variable(s): {', '.join(loose)}"
-                    )
+                        f"variable(s): {', '.join(loose)}",
+                    ))
 
-    def _check_chain_bodies(self, resolved: dict) -> None:
+    def _check_chain_bodies(self, resolved: dict, findings: list[Finding]) -> None:
         for schema in resolved.values():
             if not isinstance(schema, schemas.ChainSchema):
                 continue
             if schema.kind not in schemas.CHAIN_KINDS:
-                raise InvalidChainError(f"chain {schema.name!r} has unknown kind {schema.kind!r}")
-            if schema.kind == schemas.SEQUENCE:
-                for step in schemas.walk_steps(schema.steps):
-                    if not isinstance(step, schemas.DoStep):
-                        raise InvalidChainError(
-                            f"sequence {schema.name!r} admits no conditionals or loops"
-                        )
+                findings.append((
+                    diag.INVALID_CHAIN, schema.name,
+                    f"chain {schema.name!r} has unknown kind {schema.kind!r}",
+                ))
+            elif schema.kind == schemas.SEQUENCE and not all(
+                isinstance(step, schemas.DoStep) for step in schemas.walk_steps(schema.steps)
+            ):
+                findings.append((
+                    diag.INVALID_CHAIN, schema.name,
+                    f"sequence {schema.name!r} admits no conditionals or loops",
+                ))
 
-    def _check_aggregate_recursion(self, resolved: dict) -> None:
+    def _check_aggregate_recursion(self, resolved: dict, findings: list[Finding]) -> None:
         # Aggregate membership must be a DAG; kinship-style recursion is rejected.
         edges = {
             name: [
@@ -421,24 +464,27 @@ class RegistryBuilder:
             for name, schema in resolved.items()
             if isinstance(schema, schemas.AggregateSchema)
         }
-        self._reject_cycles(edges, RecursiveAggregateError, "aggregate")
+        self._reject_cycles(edges, diag.RECURSIVE_AGGREGATE, "aggregate", findings)
 
-    def _check_part_recursion(self, resolved: dict) -> None:
+    def _check_part_recursion(self, resolved: dict, findings: list[Finding]) -> None:
         # Part slots auto-instantiate on spawn, so the part graph must be a DAG.
         edges = {
             name: [p.schema for p in schema.parts]
             for name, schema in resolved.items()
             if isinstance(schema, schemas.ThickObjectSchema)
         }
-        self._reject_cycles(edges, RecursiveCompositionError, "part")
+        self._reject_cycles(edges, diag.RECURSIVE_COMPOSITION, "part", findings)
 
     @staticmethod
-    def _reject_cycles(edges: dict, error, label: str) -> None:
+    def _reject_cycles(edges: dict, code: str, label: str, findings: list[Finding]) -> None:
         done: set[str] = set()
 
         def visit(node: str, stack: tuple[str, ...]):
             if node in stack:
-                raise error(f"recursive {label} definition through {node!r}")
+                finding = (code, node, f"recursive {label} definition through {node!r}")
+                if finding not in findings:
+                    findings.append(finding)
+                return
             if node in done:
                 return
             for nxt in edges.get(node, ()):
@@ -469,50 +515,59 @@ class RegistryBuilder:
         return kinds.KindTable(user)
 
 
-def validate_registry(registry: Registry) -> list[diag.Diagnostic]:
-    """Check the runtime axioms a resolved registry must satisfy.
+def validation_findings(registry: Registry) -> list[Finding]:
+    """Findings for the runtime axioms a resolved registry must satisfy.
 
-    Returns an empty list iff every Transitional and Process schema declares
-    at least one Independent Continuant participant, every Disposition has
-    both trigger and realization, and every part slot carries a function.
+    Empty iff every Transitional and Process schema declares at least one
+    Independent Continuant participant, every Disposition has both trigger
+    and realization, and every part slot carries a function. A part slot's
+    finding is owned by the object that holds the slot.
     """
-    out: list[diag.Diagnostic] = []
-
-    def error(code: str, message: str) -> None:
-        out.append(diag.Diagnostic(diag.ERROR, code, message))
-
+    out: list[Finding] = []
     for schema in registry.transitionals():
         bearer = schema.bearer_kind
         if bearer is None:
-            error(
-                diag.UNBOUND_OCCURRENT,
+            out.append((
+                diag.UNBOUND_OCCURRENT, schema.name,
                 f"transitional {schema.name!r} declares no bearer",
-            )
+            ))
         elif not registry.is_independent_continuant_kind(bearer):
-            error(
-                diag.UNBOUND_OCCURRENT,
+            out.append((
+                diag.UNBOUND_OCCURRENT, schema.name,
                 f"transitional {schema.name!r} bearer {bearer!r} is not an "
                 "Independent Continuant",
-            )
+            ))
     for schema in registry.processes():
         if not any(registry.is_independent_continuant_kind(p) for p in schema.participants):
-            error(
-                diag.UNBOUND_OCCURRENT,
+            out.append((
+                diag.UNBOUND_OCCURRENT, schema.name,
                 f"process {schema.name!r} has no Independent Continuant participant",
-            )
+            ))
     for schema in registry.realizables():
         if schema.variant == schemas.DISPOSITION and (
             schema.trigger is None or schema.realization is None
         ):
-            error(
-                diag.DISPOSITION_INCOMPLETE,
+            out.append((
+                diag.DISPOSITION_INCOMPLETE, schema.name,
                 f"disposition {schema.name!r} must declare both trigger and realization",
-            )
+            ))
     for schema in registry.objects():
         for part in schema.parts:
             if not part.function.strip():
-                error(
-                    diag.PART_WITHOUT_FUNCTION,
+                out.append((
+                    diag.PART_WITHOUT_FUNCTION, schema.name,
                     f"part slot {part.slot!r} of {schema.name!r} declares no function",
-                )
+                ))
     return out
+
+
+def validate_registry(registry: Registry) -> list[diag.Diagnostic]:
+    """Check the runtime axioms a resolved registry must satisfy.
+
+    Returns one error per ``validation_findings`` entry, so an empty list
+    means the registry passes.
+    """
+    return [
+        diag.Diagnostic(diag.ERROR, code, message)
+        for code, _, message in validation_findings(registry)
+    ]

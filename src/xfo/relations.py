@@ -397,6 +397,9 @@ class RelationStore:
                 f"{member_id!r} is a {member.schema}, not a {declared.schema}: "
                 f"cannot fill slot {slot!r}"
             )
+        # Checked before the aggregate exists, so a rejected member leaves no instance.
+        if not member.alive:
+            raise SubjectDestroyedError(f"subject {member_id!r} is destroyed")
         slots: dict[str, str | None] = {m.slot: None for m in aggregate.members}
         self.register_instance(instance_id, aggregate.name, tick, slots=slots)
         self._bind(aggregate, instance_id, slot, member_id, tick)

@@ -238,3 +238,11 @@ def test_stdout_byte_identical_across_invocations(tmp_path):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_diagnostics_name_the_file_given(tmp_path):
+    model = tmp_path / "user.model"
+    model.write_text("object Bench { part oven: Kiln function \"bakes\" }\n")
+    code, _, err = invoke(["validate", str(model)])
+    assert code == 1
+    assert err.startswith("user.model:1:")

@@ -214,3 +214,52 @@ def test_unknown_determinant_in_transitional_fails_compile():
     )
     assert not result.ok
     assert any("volcanic" in d.message for d in result.diagnostics)
+
+
+def test_one_compile_reports_every_resolve_error_with_position():
+    result = compile_sources(
+        {
+            "m": (
+                COMMON
+                + "transitional leak on Kiln {\n"
+                "  create heat(?someone, high)\n"
+                "}\n"
+                "chain sequence bad { while heat(?k, low) { do leak } }\n"
+                "aggregate Family { member kin: Family }\n"
+                "disposition halfbaked on Kiln when heat(bearer, low) realize heat\n"
+            )
+        }
+    )
+    assert not result.ok
+    assert all(d.file == "m.xfo" and d.span is not None for d in result.diagnostics)
+    assert sorted((d.span.line, d.code) for d in result.diagnostics) == [
+        (3, "UnboundVariable"),
+        (6, "InvalidChain"),
+        (7, "RecursiveAggregate"),
+        (8, "DanglingReference"),
+    ]
+
+
+def test_part_without_function_anchors_at_owning_object():
+    result = compile_sources(
+        {
+            "m": (
+                "object Lid { }\n"
+                "object Pot {\n"
+                "  part Lid: Lid function \"\"\n"
+                "}\n"
+            )
+        }
+    )
+    (diag,) = result.diagnostics
+    assert diag.code == "PartWithoutFunction"
+    assert (diag.file, diag.span.line) == ("m.xfo", 2)
+
+
+def test_inheritance_cycle_reported_once_at_its_declaration():
+    result = compile_sources(
+        {"m": "object Cup : Mug { }\nobject Mug : Cup { }\nobject Tea : Cup { }\n"}
+    )
+    assert [(d.code, d.file, d.span.line) for d in result.diagnostics] == [
+        ("InheritanceCycle", "m.xfo", 1)
+    ]

@@ -398,6 +398,18 @@ def test_destroyed_member_of_target_rejected(orchestra_store):
     assert dict(orchestra_store.aggregate_view("orch1").slots)["brass"] is None
 
 
+def test_destroyed_entry_member_leaves_no_aggregate():
+    world = Microworld(compile_ok({"orchestra": ORCHESTRA}).registry)
+    world.spawn("Musician", instance_id="violinist")
+    world.destroy("violinist")
+    clock, events = world.clock, len(world.events)
+    with pytest.raises(SubjectDestroyedError):
+        world.instantiate_aggregate("Orchestra", "violinist", "strings", instance_id="orch")
+    assert not world.store.has_instance("orch")
+    assert world.clock == clock
+    assert len(world.events) == events
+
+
 def test_located_in_still_accepts_opaque_values(corpus):
     world = world_from(corpus, "crash_test")
     world.destroy("hammer")
