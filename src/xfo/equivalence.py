@@ -40,38 +40,28 @@ class EquivalenceResult:
     states_checked: int
 
 
-def _axes(registry: Registry, space: StateSpace) -> list[tuple[str, str, tuple[str, ...]]]:
+def _levels(registry: Registry, space: StateSpace) -> list[tuple[str, str, tuple, list]]:
+    """(name, schema, determinables, value axes) per instance in name order:
+    determinables in declaration order, each axis in ontology order."""
     pinned = {(inst, det): value for inst, det, value in space.pinned}
-    axes: list[tuple[str, str, tuple[str, ...]]] = []
+    levels = []
     for name, schema_name in sorted(space.instances):
         schema = registry.object_schema(schema_name)
         if schema is None:
             raise XfoError(f"{schema_name!r} is not an object schema")
-        for slot in schema.qualities:
-            pin = pinned.get((name, slot.determinable))
-            if pin is not None:
-                values: tuple[str, ...] = (pin,)
-            else:
-                ontology = registry.quality(slot.ontology)
-                values = ontology.determinants
-            axes.append((name, slot.determinable, values))
-    return axes
+        dets = tuple(slot.determinable for slot in schema.qualities)
+        axes = [
+            (pinned[name, slot.determinable],) if (name, slot.determinable) in pinned
+            else registry.quality(slot.ontology).determinants
+            for slot in schema.qualities
+        ]
+        levels.append((name, schema_name, dets, axes))
+    return levels
 
 
 def _final_state(
-    registry: Registry,
-    chain_name: str,
-    space: StateSpace,
-    assignment: dict[tuple[str, str], str],
-    loop_cap: int,
+    world: Microworld, chain_name: str, bindings: dict[str, str], loop_cap: int
 ) -> frozenset[tuple[str, str, str]]:
-    world = Microworld(registry, name="equiv")
-    for name, schema_name in space.instances:
-        determinants = {
-            det: value for (inst, det), value in assignment.items() if inst == name
-        }
-        world.spawn(schema_name, determinants, instance_id=name)
-    bindings = {name: name for name, _ in space.instances}
     instance = transitions.instantiate_chain(world, chain_name, bindings, loop_cap=loop_cap)
     run(world, instance, max_ticks=10**9)
     if instance.abort_reason and instance.abort_reason.startswith(
@@ -97,26 +87,44 @@ def check_equivalence(
     values in ontology order). Raises StateSpaceTooLarge when the product
     exceeds ``state_bound`` and NonterminatingChain when a run hits its
     loop cap.
+
+    The sweep walks the states depth first, one instance per level: each
+    instance is spawned once per prefix of choices into a clone of the
+    world that holds the prefix, so states sharing a prefix share its spawns.
     """
     for chain_name in (chain_a, chain_b):
         if registry.chain(chain_name) is None:
             raise XfoError(f"unknown chain: {chain_name}")
-    axes = _axes(registry, space)
-    size = math.prod(len(values) for _, _, values in axes)
+    levels = _levels(registry, space)
+    size = math.prod(len(values) for *_, axes in levels for values in axes)
     if size > state_bound:
         raise StateSpaceTooLargeError(f"state space has {size} states (bound {state_bound})")
 
+    bindings = {name: name for name, _ in space.instances}
     checked = 0
-    for combo in itertools.product(*[values for _, _, values in axes]):
-        assignment = {
-            (inst, det): value for (inst, det, _), value in zip(axes, combo)
-        }
-        checked += 1
-        final_a = _final_state(registry, chain_a, space, assignment, loop_cap)
-        final_b = _final_state(registry, chain_b, space, assignment, loop_cap)
-        if final_a != final_b:
-            witness = tuple(
-                (f"{inst}.{det}", value) for (inst, det), value in sorted(assignment.items())
-            )
-            return EquivalenceResult(False, witness, checked)
-    return EquivalenceResult(True, None, checked)
+
+    def sweep(world: Microworld, depth: int, assignment: tuple) -> tuple | None:
+        """The first differing assignment at or below ``world``, if any."""
+        nonlocal checked
+        if depth == len(levels):
+            checked += 1
+            final_a = _final_state(world.clone(), chain_a, bindings, loop_cap)
+            final_b = _final_state(world, chain_b, bindings, loop_cap)
+            return assignment if final_a != final_b else None
+        name, schema_name, dets, axes = levels[depth]
+        for combo in itertools.product(*axes):
+            determinants = dict(zip(dets, combo))
+            child = world.clone()
+            child.spawn(schema_name, determinants, instance_id=name)
+            found = sweep(child, depth + 1, assignment + ((name, determinants),))
+            if found is not None:
+                return found
+        return None
+
+    found = sweep(Microworld(registry, name="equiv"), 0, ())
+    if found is None:
+        return EquivalenceResult(True, None, checked)
+    # Keyed by (instance, determinable), not by the joined text: "a-b.x" < "a.x".
+    pairs = sorted(((inst, det), value) for inst, dets in found for det, value in dets.items())
+    witness = tuple((f"{inst}.{det}", value) for (inst, det), value in pairs)
+    return EquivalenceResult(False, witness, checked)

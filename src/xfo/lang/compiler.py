@@ -64,11 +64,13 @@ class _Lowering:
 
     def __init__(self, module: ast.SourceModule, declared: dict[str, tuple[str, ...]],
                  determinables: dict[str, tuple[str, ...]], diagnostics: list[Diagnostic],
-                 builder: RegistryBuilder, spans: dict[str, tuple[str, Span]]):
+                 builder: RegistryBuilder, spans: dict[str, tuple[str, Span]],
+                 unresolved: set[str]):
         self.file = module.file
         self.diagnostics = diagnostics
         self.builder = builder
         self.spans = spans  # schema name -> (file, span)
+        self.unresolved = unresolved  # references reported here, kept as written
         # Own declarations plus those of imported modules: plain name -> owning module.
         self.visible = dict.fromkeys(declared[module.name], module.name)
         dets = set(determinables[module.name])
@@ -97,29 +99,25 @@ class _Lowering:
         except DuplicateNameError as exc:
             self.error(DUPLICATE_NAME, str(exc), span)
 
-    def resolve_ref(self, name: str, span: Span) -> str | None:
-        """Resolve a possibly qualified reference to a plain registry name."""
+    def resolve_ref(self, name: str, span: Span) -> str:
+        """Resolve a possibly qualified reference to a plain registry name.
+
+        An unresolved reference is reported here and returned as written, so
+        resolution still checks the declaration that holds it."""
         if "." in name:
             module_name, _, plain = name.rpartition(".")
-            owner = self.visible.get(plain)
-            if owner != module_name:
-                self.error(
-                    DANGLING_REFERENCE,
-                    f"{name!r} does not resolve; is module {module_name!r} imported?",
-                    span,
-                )
-                return None
-            return plain
-        if is_upper(name) or name in BUILTIN_PREDICATES or name in self.visible:
+            if self.visible.get(plain) == module_name:
+                return plain
+            message = f"{name!r} does not resolve; is module {module_name!r} imported?"
+        elif is_upper(name) or name in BUILTIN_PREDICATES or name in self.visible:
             return name
-        self.error(
-            DANGLING_REFERENCE,
-            f"{name!r} is not declared in this module or its imports",
-            span,
-        )
-        return None
+        else:
+            message = f"{name!r} is not declared in this module or its imports"
+        self.error(DANGLING_REFERENCE, message, span)
+        self.unresolved.add(name)
+        return name
 
-    def resolve_predicate(self, name: str, span: Span) -> str | None:
+    def resolve_predicate(self, name: str, span: Span) -> str:
         # Quality slot determinables are valid predicates without being
         # registry entries of their own.
         if "." not in name and name in self.visible_determinables:
@@ -138,8 +136,6 @@ class _Lowering:
     def pattern(self, node: ast.PatternNode, *, bearer_scope: bool = False,
                 ground: bool = False) -> schemas.Pattern | None:
         predicate = self.resolve_predicate(node.predicate, node.span)
-        if predicate is None:
-            return None
         subject = self.term(node.subject, bearer_scope=bearer_scope)
         obj = self.term(node.object, bearer_scope=bearer_scope)
         if ground:
@@ -158,22 +154,17 @@ class _Lowering:
         for node in nodes:
             if isinstance(node, ast.DoNode):
                 transitional = self.resolve_ref(node.transitional, node.span)
-                if transitional is not None:
-                    out.append(schemas.DoStep(transitional, node.intervention))
+                out.append(schemas.DoStep(transitional, node.intervention))
             elif isinstance(node, ast.IfNode):
-                condition = self.pattern(node.condition)
-                if condition is not None:
-                    out.append(
-                        schemas.IfStep(
-                            condition,
-                            self.steps(node.then_steps),
-                            self.steps(node.else_steps),
-                        )
+                out.append(
+                    schemas.IfStep(
+                        self.pattern(node.condition),
+                        self.steps(node.then_steps),
+                        self.steps(node.else_steps),
                     )
+                )
             elif isinstance(node, ast.WhileNode):
-                condition = self.pattern(node.condition)
-                if condition is not None:
-                    out.append(schemas.WhileStep(condition, self.steps(node.body)))
+                out.append(schemas.WhileStep(self.pattern(node.condition), self.steps(node.body)))
         return tuple(out)
 
 
@@ -219,12 +210,15 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
 
     builder = RegistryBuilder()
     spans: dict[str, tuple[str, Span]] = {}
+    unresolved: set[str] = set()
     worlds: dict[str, schemas.WorldDef] = {}
     claims: list[schemas.ClaimDef] = []
     infos: list[ModuleInfo] = []
 
     for module in unique:
-        lowering = _Lowering(module, declared, determinables, diagnostics, builder, spans)
+        lowering = _Lowering(
+            module, declared, determinables, diagnostics, builder, spans, unresolved
+        )
         register = lowering.register
         for decl in module.decls:
             if isinstance(decl, ast.QualityNode):
@@ -233,12 +227,12 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
                 _lower_object(decl, lowering)
             elif isinstance(decl, ast.AggregateNode):
                 members = tuple(
-                    schemas.AggregateMember(m.slot, lowering.resolve_ref(m.schema, m.span) or m.schema)
+                    schemas.AggregateMember(m.slot, lowering.resolve_ref(m.schema, m.span))
                     for m in decl.members
                 )
                 links = tuple(
                     schemas.AggregateLink(
-                        lowering.resolve_ref(l.relation, l.span) or l.relation,
+                        lowering.resolve_ref(l.relation, l.span),
                         l.subject_slot,
                         l.object_slot,
                     )
@@ -246,29 +240,22 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
                 )
                 register(schemas.AggregateSchema(decl.name, members, links), decl.span)
             elif isinstance(decl, ast.RelationNode):
-                subject = lowering.resolve_ref(decl.subject_kind, decl.span)
-                obj = lowering.resolve_ref(decl.object_kind, decl.span)
                 register(
                     schemas.RelationSchema(
                         decl.name,
-                        subject or decl.subject_kind,
-                        obj or decl.object_kind,
+                        lowering.resolve_ref(decl.subject_kind, decl.span),
+                        lowering.resolve_ref(decl.object_kind, decl.span),
                         decl.relational_quality,
                     ),
                     decl.span,
                 )
             elif isinstance(decl, ast.TransitionalNode):
                 bearer = lowering.resolve_ref(decl.bearer, decl.span)
-                guards = []
-                for node in decl.requires:
-                    pattern = lowering.pattern(node, bearer_scope=True)
-                    if pattern is not None:
-                        guards.append(pattern)
-                edits = []
-                for node in decl.edits:
-                    pattern = lowering.pattern(node.pattern, bearer_scope=True)
-                    if pattern is not None:
-                        edits.append(schemas.Edit(node.op, pattern))
+                guards = [lowering.pattern(node, bearer_scope=True) for node in decl.requires]
+                edits = [
+                    schemas.Edit(node.op, lowering.pattern(node.pattern, bearer_scope=True))
+                    for node in decl.edits
+                ]
                 register(
                     schemas.TransitionalSchema(
                         decl.name, bearer, tuple(guards), tuple(edits)
@@ -326,15 +313,17 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
             )
         )
 
-    registry = None
-    if not has_errors(diagnostics):
-        registry, findings = builder.resolve_with_findings()
-        if registry is not None:
-            findings = validation_findings(registry)
-        for code, owner, message in findings:
-            diagnostics.append(Diagnostic(ERROR, code, message, *spans[owner]))
-        if findings:
-            registry = None
+    # Resolution runs even after lowering errors, so every error of a compile
+    # shows at once; a reference lowering already reported is not repeated.
+    registry, findings = builder.resolve_with_findings()
+    if registry is not None:
+        findings = validation_findings(registry)
+    for code, owner, message in findings:
+        if code == DANGLING_REFERENCE and any(repr(n) in message for n in unresolved):
+            continue
+        diagnostics.append(Diagnostic(ERROR, code, message, *spans[owner]))
+    if has_errors(diagnostics):
+        registry = None
     return CompileResult(registry, worlds, tuple(claims), tuple(infos), diagnostics)
 
 
@@ -345,17 +334,13 @@ def _lower_object(decl: ast.ObjectNode, lowering: _Lowering) -> None:
     for item in decl.items:
         if isinstance(item, ast.QualitySlotNode):
             ontology = lowering.resolve_ref(item.ontology, item.span)
-            qualities.append(
-                schemas.QualitySlot(item.determinable, ontology or item.ontology, item.required)
-            )
+            qualities.append(schemas.QualitySlot(item.determinable, ontology, item.required))
         elif isinstance(item, ast.PartNode):
             schema = lowering.resolve_ref(item.schema, item.span)
             linkage = (
                 schemas.CONTAINMENT if item.linkage == "contained" else schemas.COMPOSITION
             )
-            parts.append(
-                schemas.PartSlot(item.slot, schema or item.schema, item.function, linkage)
-            )
+            parts.append(schemas.PartSlot(item.slot, schema, item.function, linkage))
         elif isinstance(item, ast.FunctionNode):
             lowering.register(
                 schemas.RealizableSchema(
@@ -395,7 +380,7 @@ def _lower_world(decl: ast.WorldNode, lowering: _Lowering) -> schemas.WorldDef:
         assignments = tuple(
             (assign.determinable, assign.value.value) for assign in node.assignments
         )
-        spawns.append(schemas.SpawnDef(node.instance, schema or node.schema, assignments))
+        spawns.append(schemas.SpawnDef(node.instance, schema, assignments))
     asserts = []
     for node in decl.asserts:
         pattern = lowering.pattern(node, ground=True)

@@ -8,6 +8,7 @@ boundary) advances the clock by one, and all edits of a unit share its tick.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import random
@@ -152,7 +153,6 @@ class Microworld:
         self.events: list[TimelineEvent] = []
         self.rules: list[InteractionRule] = []
         self.disposition_cap = DEFAULT_DISPOSITION_CAP
-        self._seed = seed
         self._rng = random.Random(seed) if seed is not None else None
         self._id_counters: dict[str, int] = {}
 
@@ -511,22 +511,21 @@ class Microworld:
 
     # -- snapshots ------------------------------------------------------------------------------------
 
+    def clone(self) -> "Microworld":
+        """An independent copy: store, clock, events, rules, id counters, rng
+        state and disposition cap. The registry is shared; it is immutable."""
+        other = copy.copy(self)
+        other.store = self.store.clone()
+        other.events = list(self.events)
+        other.rules = list(self.rules)
+        other._id_counters = dict(self._id_counters)
+        if self._rng is not None:
+            other._rng = random.Random()
+            other._rng.setstate(self._rng.getstate())
+        return other
+
     def snapshot(self) -> WorldSnapshot:
-        return WorldSnapshot(
-            SNAPSHOT_VERSION,
-            {
-                "name": self.name,
-                "seed": self._seed,
-                "clock": self.clock,
-                "store": self.store.clone(),
-                "events": tuple(self.events),
-                "rules": tuple(self.rules),
-                "counters": dict(self._id_counters),
-                "rng": self._rng.getstate() if self._rng is not None else None,
-                "disposition_cap": self.disposition_cap,
-                "registry": self.registry,
-            },
-        )
+        return WorldSnapshot(SNAPSHOT_VERSION, {"world": self.clone()})
 
     @classmethod
     def restore(cls, snapshot: WorldSnapshot) -> "Microworld":
@@ -534,18 +533,7 @@ class Microworld:
             raise SnapshotVersionMismatchError(
                 f"snapshot version {snapshot.version} != {SNAPSHOT_VERSION}"
             )
-        state = snapshot.state
-        world = cls(state["registry"], name=state["name"], seed=state["seed"])
-        world.store = state["store"].clone()
-        world.clock = state["clock"]
-        world.events = list(state["events"])
-        world.rules = list(state["rules"])
-        world._id_counters = dict(state["counters"])
-        world.disposition_cap = state["disposition_cap"]
-        if state["rng"] is not None:
-            world._rng = random.Random()
-            world._rng.setstate(state["rng"])
-        return world
+        return snapshot.state["world"].clone()
 
     def fingerprint(self) -> str:
         return streamed_fingerprint({

@@ -513,9 +513,14 @@ class RelationStore:
     def clone(self) -> "RelationStore":
         other = RelationStore(self.registry)
         other._records = list(self._records)
-        for index, triple in enumerate(other._records):
-            if triple.retracted_at is None:
-                other._index(triple, index)
+        other._by_subject = {
+            predicate: {subject: dict(objects) for subject, objects in subjects.items()}
+            for predicate, subjects in self._by_subject.items()
+        }
+        other._by_object = {
+            predicate: {obj: set(subjects) for obj, subjects in objects.items()}
+            for predicate, objects in self._by_object.items()
+        }
         other._instances = {i: rec.copy() for i, rec in self._instances.items()}
         other._alive = {schema: set(ids) for schema, ids in self._alive.items()}
         other._slot_refs = {member: set(ids) for member, ids in self._slot_refs.items()}

@@ -263,3 +263,26 @@ def test_inheritance_cycle_reported_once_at_its_declaration():
     assert [(d.code, d.file, d.span.line) for d in result.diagnostics] == [
         ("InheritanceCycle", "m.xfo", 1)
     ]
+
+
+def test_resolution_runs_after_lowering_reports_a_dangling_reference():
+    # The undeclared part schema is reported once, where it is written, and
+    # the unbound edit variable of another declaration still shows.
+    result = compile_sources(
+        {
+            "m": (
+                "quality level { low, high }\n"
+                "object Kiln {\n"
+                "  quality heat: level\n"
+                "  part oven: Oven function \"holds the fire\"\n"
+                "}\n"
+                "transitional fire on Kiln { create heat(?someone, high) }\n"
+            )
+        }
+    )
+    assert not result.ok
+    assert [(d.code, d.file, d.span.line) for d in result.diagnostics] == [
+        ("DanglingReference", "m.xfo", 4),
+        ("UnboundVariable", "m.xfo", 6),
+    ]
+    assert sum("Oven" in d.message for d in result.diagnostics) == 1

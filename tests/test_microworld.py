@@ -511,6 +511,35 @@ def test_restore_then_mutate_then_restore_again(corpus):
     assert second.fingerprint() == original
 
 
+def test_clone_is_independent_of_its_original(corpus):
+    world = world_from(corpus, "workshop")
+    world.begin_process("rehearsal", ["violinist", "maestro"])
+    clock, events, original = world.clock, list(world.events), world.fingerprint()
+    clone = world.clone()
+    assert clone.fingerprint() == original
+
+    clone.spawn("Clock", {"tension": "unwound"}, instance_id="spare")
+    clone.apply("run_down", "clock")
+    clone.destroy("clock")
+    clone.end_process("rehearsal")
+    clone.add_interaction_rule(("Musician",), None, "run_down")
+    drawn = clone.new_id("Gear")
+
+    assert clone.fingerprint() != original
+    assert world.fingerprint() == original
+    assert (world.clock, world.events, world.rules) == (clock, events, [])
+    assert world.store.instance("clock").alive
+    assert world.new_id("Gear") == drawn
+
+
+def test_seeded_clone_draws_the_same_next_id(corpus):
+    world = world_from(corpus, "workshop", seed=7)
+    world.new_id("Gear")
+    clone = world.clone()
+    assert clone.new_id("Gear") == world.new_id("Gear")
+    assert clone.new_id("Gear") == world.new_id("Gear")
+
+
 def test_snapshot_version_mismatch(corpus):
     world = world_from(corpus, "demo")
     snapshot = world.snapshot()
