@@ -7,7 +7,6 @@ single parent and answers path and subkind queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import XfoError
@@ -49,19 +48,9 @@ UPPER_TAXONOMY: dict[str, str | None] = {
     TRANSITIONAL: OCCURRENT,
 }
 
-RESERVED_NAMES = frozenset(UPPER_TAXONOMY)
-
 
 def is_upper(name: str) -> bool:
     return name in UPPER_TAXONOMY
-
-
-@dataclass(frozen=True)
-class Kind:
-    """A named node in the kind hierarchy with its single parent."""
-
-    name: str
-    parent: str | None
 
 
 class KindTable:

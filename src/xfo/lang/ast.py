@@ -222,7 +222,9 @@ Declaration = (
 @dataclass(frozen=True)
 class SourceModule:
     """One parsed .xfo module: imports plus declarations, with a facet label
-    and the file name its diagnostics carry."""
+    and the file name its diagnostics carry. ``dropped`` names the schema
+    declarations the parser skipped on a syntax error after their name; the
+    error is reported, and the names still count as declared."""
 
     name: str
     facet: str | None
@@ -230,6 +232,7 @@ class SourceModule:
     decls: tuple
     span: Span = _span_field()
     file: str = field(compare=False, kw_only=True, default="<input>")
+    dropped: tuple[str, ...] = field(compare=False, kw_only=True, default=())
 
     def declared_names(self) -> tuple[str, ...]:
         names = []
@@ -245,10 +248,9 @@ class SourceModule:
 
     def determinable_names(self) -> tuple[str, ...]:
         """Quality slot determinables, which act as predicates in patterns."""
-        names = []
-        for decl in self.decls:
-            if isinstance(decl, ObjectNode):
-                for item in decl.items:
-                    if isinstance(item, QualitySlotNode) and item.determinable not in names:
-                        names.append(item.determinable)
-        return tuple(names)
+        names = (
+            item.determinable
+            for decl in self.decls if isinstance(decl, ObjectNode)
+            for item in decl.items if isinstance(item, QualitySlotNode)
+        )
+        return tuple(dict.fromkeys(names))

@@ -70,7 +70,7 @@ class _Lowering:
         self.diagnostics = diagnostics
         self.builder = builder
         self.spans = spans  # schema name -> (file, span)
-        self.unresolved = unresolved  # references reported here, kept as written
+        self.unresolved = unresolved  # names already reported, here or by the parser
         # Own declarations plus those of imported modules: plain name -> owning module.
         self.visible = dict.fromkeys(declared[module.name], module.name)
         dets = set(determinables[module.name])
@@ -200,8 +200,10 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
         by_name[module.name] = fingerprint
         unique.append(module)
 
+    # A declaration the parser dropped keeps its name: the syntax error is its
+    # one report, so neither lowering nor resolution reports the name again.
     declared: dict[str, tuple[str, ...]] = {
-        module.name: module.declared_names() for module in unique
+        module.name: module.declared_names() + module.dropped for module in unique
     }
 
     determinables: dict[str, tuple[str, ...]] = {
@@ -210,7 +212,7 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
 
     builder = RegistryBuilder()
     spans: dict[str, tuple[str, Span]] = {}
-    unresolved: set[str] = set()
+    unresolved = {name for module in unique for name in module.dropped}
     worlds: dict[str, schemas.WorldDef] = {}
     claims: list[schemas.ClaimDef] = []
     infos: list[ModuleInfo] = []
@@ -308,13 +310,14 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
             ModuleInfo(
                 name=module.name,
                 fingerprint=by_name[module.name],
-                terms=declared[module.name],
+                terms=module.declared_names(),
                 facet=module.facet or "physical",
             )
         )
 
     # Resolution runs even after lowering errors, so every error of a compile
-    # shows at once; a reference lowering already reported is not repeated.
+    # shows at once; a name lowering or the parser already reported is not
+    # repeated.
     registry, findings = builder.resolve_with_findings()
     if registry is not None:
         findings = validation_findings(registry)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 
 from ..diagnostics import ERROR, SYNTAX, Diagnostic, Span
+from ..schemas import CHAIN_KINDS
 from . import ast
 from .lexer import (
     COLON,
@@ -43,8 +44,6 @@ DECL_KEYWORDS = frozenset(
     }
 )
 
-CHAIN_KINDS = ("sequence", "mechanism", "procedure", "workflow")
-
 _FACET_RE = re.compile(r"^\s*#\s*facet\s*:\s*([A-Za-z_][A-Za-z0-9_\-]*)\s*$", re.MULTILINE)
 
 
@@ -58,6 +57,7 @@ class Parser:
         self.file = file
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
+        self.declaring: str | None = None  # name of the declaration being parsed
 
     # -- token plumbing -------------------------------------------------------
 
@@ -96,6 +96,12 @@ class Parser:
     def ident(self, what: str) -> Token:
         return self.expect(IDENT, what)
 
+    def decl_name(self, what: str) -> str:
+        """The name of a schema declaration; it stays declared even if the
+        rest of the declaration fails to parse."""
+        self.declaring = self.ident(what).text
+        return self.declaring
+
     def ref(self, what: str) -> str:
         """A possibly module-qualified name: IDENT { '.' IDENT }."""
         parts = [self.ident(what).text]
@@ -127,8 +133,10 @@ class Parser:
     def parse_module(self, name: str, facet: str | None) -> ast.SourceModule:
         imports: list[ast.ImportNode] = []
         decls: list = []
+        dropped: list[str] = []
         while not self.at(EOF):
             start = self.pos
+            self.declaring = None
             try:
                 token = self.peek()
                 if token.kind != IDENT or token.text not in DECL_KEYWORDS:
@@ -161,17 +169,20 @@ class Parser:
                 elif word == "claim":
                     decls.append(self.claim_decl(start))
             except _ParseError:
+                if self.declaring is not None:
+                    dropped.append(self.declaring)
                 self.sync()
         end = self.tokens[-1].span.offset  # EOF offset == source length
         return ast.SourceModule(
-            name, facet, tuple(imports), tuple(decls), span=Span(1, 1, end, 0), file=self.file
+            name, facet, tuple(imports), tuple(decls), span=Span(1, 1, end, 0), file=self.file,
+            dropped=tuple(dropped),
         )
 
     # -- declarations -------------------------------------------------------------
 
     def quality_decl(self, start: int) -> ast.QualityNode:
         self.expect_word("quality")
-        name = self.ident("quality name").text
+        name = self.decl_name("quality name")
         self.expect(LBRACE, "'{'")
         determinants = [self.ident("determinant").text]
         while self.at(COMMA):
@@ -182,7 +193,7 @@ class Parser:
 
     def object_decl(self, start: int) -> ast.ObjectNode:
         self.expect_word("object")
-        name = self.ident("object name after 'object'").text
+        name = self.decl_name("object name after 'object'")
         parent = None
         if self.at(COLON):
             self.advance()
@@ -242,7 +253,7 @@ class Parser:
 
     def aggregate_decl(self, start: int) -> ast.AggregateNode:
         self.expect_word("aggregate")
-        name = self.ident("aggregate name").text
+        name = self.decl_name("aggregate name")
         self.expect(LBRACE, "'{'")
         members: list[ast.MemberNode] = []
         links: list[ast.LinkNode] = []
@@ -276,7 +287,7 @@ class Parser:
 
     def relation_decl(self, start: int) -> ast.RelationNode:
         self.expect_word("relation")
-        name = self.ident("relation name").text
+        name = self.decl_name("relation name")
         self.expect(LPAREN, "'('")
         subject = self.ref("subject kind")
         self.expect(COMMA, "','")
@@ -312,7 +323,7 @@ class Parser:
 
     def transitional_decl(self, start: int) -> ast.TransitionalNode:
         self.expect_word("transitional")
-        name = self.ident("transitional name").text
+        name = self.decl_name("transitional name")
         self.expect_word("on")
         bearer = self.ref("bearer kind after 'on'")
         self.expect(LBRACE, "'{'")
@@ -337,7 +348,7 @@ class Parser:
             raise self.error(
                 f"expected a chain kind, found {kind_token.text!r}", kind_token
             )
-        name = self.ident("chain name").text
+        name = self.decl_name("chain name")
         steps = self.step_block()
         return ast.ChainNode(name, kind_token.text, steps, span=self.span_from(start))
 
@@ -379,7 +390,7 @@ class Parser:
 
     def disposition_decl(self, start: int) -> ast.DispositionNode:
         self.expect_word("disposition")
-        name = self.ident("disposition name").text
+        name = self.decl_name("disposition name")
         self.expect_word("on")
         bearer = self.ref("bearer kind after 'on'")
         self.expect_word("when")

@@ -3,6 +3,11 @@ reference checking, fingerprinting), and the post-resolve validator.
 
 A RegistryBuilder accumulates schemas in a single context; ``resolve`` yields
 an immutable Registry that may be shared across concurrent readers.
+Resolution builds one SchemaIndex: the resolved table partitioned by schema
+type, plus the predicate, kind and determinable name sets. Every resolution
+check, the validator and the Registry's lookups read that index, so none of
+them type-tests or scans the whole table per call.
+
 Resolution and validation report ``(code, owner, message)`` findings, where
 ``code`` is a diagnostic code and ``owner`` the schema at fault; the compiler
 anchors each at its owner's declaration.
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from types import MappingProxyType
-from typing import Iterator
+from typing import Iterator, get_args
 
 from . import diagnostics as diag
 from . import kinds, schemas
@@ -51,29 +56,62 @@ def _schema_payload(schema: schemas.Schema) -> dict:
     return payload
 
 
-class Registry:
-    """An immutable, fully resolved set of Universals plus the kind table."""
+class SchemaIndex:
+    """A resolved schema table partitioned by type, with the name sets that
+    resolution checks and registry lookups read.
+
+    Built once per resolution, over the flattened table. It registers the
+    Needs that Functions serve, so ``table`` is the full resolved table.
+    ``declared_objects`` are the object schemas as registered, before
+    flattening.
+    """
 
     def __init__(
         self,
-        resolved: dict[str, schemas.Schema],
-        raw_objects: dict[str, schemas.ThickObjectSchema],
-        kind_table: kinds.KindTable,
-        fingerprint: str,
+        table: dict[str, schemas.Schema],
+        declared_objects: dict[str, schemas.ThickObjectSchema],
     ):
-        self._schemas = MappingProxyType(dict(resolved))
-        self.kinds = kind_table
-        self.fingerprint = fingerprint
+        self.table = table
+        by_type: dict[type, dict] = {cls: {} for cls in get_args(schemas.Schema)}
+        for name, schema in table.items():
+            by_type[type(schema)][name] = schema
+        self.objects = by_type[schemas.ThickObjectSchema]
+        self.qualities = by_type[schemas.QualityOntology]
+        self.relations = by_type[schemas.RelationSchema]
+        self.aggregates = by_type[schemas.AggregateSchema]
+        self.realizables = by_type[schemas.RealizableSchema]
+        self.needs = by_type[schemas.Need]
+        self.transitionals = by_type[schemas.TransitionalSchema]
+        self.chains = by_type[schemas.ChainSchema]
+        self.processes = by_type[schemas.ProcessSchema]
+        # Needs are leaf records; a Function's `serves` reference creates one.
+        for schema in self.realizables.values():
+            if schema.serves and schema.serves not in table:
+                table[schema.serves] = self.needs[schema.serves] = schemas.Need(schema.serves)
+        self.dispositions = tuple(
+            s for s in self.realizables.values() if s.variant == schemas.DISPOSITION
+        )
+        # Names that may bear a realizable, end a relation or be a member.
+        self.kind_names = frozenset(kinds.UPPER_TAXONOMY).union(self.objects, self.aggregates)
         # determinable -> schemas that introduce (not merely inherit) it
         declarers: dict[str, list[str]] = {}
-        for schema in raw_objects.values():
+        for schema in declared_objects.values():
             for determinable in dict.fromkeys(slot.determinable for slot in schema.qualities):
                 declarers.setdefault(determinable, []).append(schema.name)
-        self._declarers = {d: tuple(names) for d, names in declarers.items()}
-        self._predicates = frozenset(BUILTIN_PREDICATES).union(
-            self._declarers,
-            (name for name, s in resolved.items() if isinstance(s, schemas.RelationSchema)),
-        )
+        self.declarers = {d: tuple(names) for d, names in declarers.items()}
+        # A flattened object's determinables are its own and its ancestors',
+        # so the declared objects' determinables are every predicate a slot gives.
+        self.predicates = frozenset(BUILTIN_PREDICATES).union(self.declarers, self.relations)
+
+
+class Registry:
+    """An immutable, fully resolved set of Universals plus the kind table."""
+
+    def __init__(self, index: SchemaIndex, kind_table: kinds.KindTable, fingerprint: str):
+        self._schemas = MappingProxyType(index.table)
+        self._index = index
+        self.kinds = kind_table
+        self.fingerprint = fingerprint
 
     # -- lookup -----------------------------------------------------------
 
@@ -87,70 +125,59 @@ class Registry:
     def get(self, name: str) -> schemas.Schema | None:
         return self._schemas.get(name)
 
-    def _typed(self, name: str, cls) -> object | None:
-        schema = self._schemas.get(name)
-        return schema if isinstance(schema, cls) else None
-
     def object_schema(self, name: str) -> schemas.ThickObjectSchema | None:
-        return self._typed(name, schemas.ThickObjectSchema)
+        return self._index.objects.get(name)
 
     def quality(self, name: str) -> schemas.QualityOntology | None:
-        return self._typed(name, schemas.QualityOntology)
+        return self._index.qualities.get(name)
 
     def relation(self, name: str) -> schemas.RelationSchema | None:
-        return self._typed(name, schemas.RelationSchema)
+        return self._index.relations.get(name)
 
     def aggregate(self, name: str) -> schemas.AggregateSchema | None:
-        return self._typed(name, schemas.AggregateSchema)
+        return self._index.aggregates.get(name)
 
     def realizable(self, name: str) -> schemas.RealizableSchema | None:
-        return self._typed(name, schemas.RealizableSchema)
+        return self._index.realizables.get(name)
 
     def transitional(self, name: str) -> schemas.TransitionalSchema | None:
-        return self._typed(name, schemas.TransitionalSchema)
+        return self._index.transitionals.get(name)
 
     def chain(self, name: str) -> schemas.ChainSchema | None:
-        return self._typed(name, schemas.ChainSchema)
+        return self._index.chains.get(name)
 
     def process(self, name: str) -> schemas.ProcessSchema | None:
-        return self._typed(name, schemas.ProcessSchema)
+        return self._index.processes.get(name)
 
     def need(self, name: str) -> schemas.Need | None:
-        return self._typed(name, schemas.Need)
-
-    def _iter_type(self, cls) -> Iterator:
-        for schema in self._schemas.values():
-            if isinstance(schema, cls):
-                yield schema
+        return self._index.needs.get(name)
 
     def objects(self) -> Iterator[schemas.ThickObjectSchema]:
-        return self._iter_type(schemas.ThickObjectSchema)
+        return iter(self._index.objects.values())
 
     def qualities(self) -> Iterator[schemas.QualityOntology]:
-        return self._iter_type(schemas.QualityOntology)
+        return iter(self._index.qualities.values())
 
     def relations(self) -> Iterator[schemas.RelationSchema]:
-        return self._iter_type(schemas.RelationSchema)
+        return iter(self._index.relations.values())
 
     def aggregates(self) -> Iterator[schemas.AggregateSchema]:
-        return self._iter_type(schemas.AggregateSchema)
+        return iter(self._index.aggregates.values())
 
     def realizables(self) -> Iterator[schemas.RealizableSchema]:
-        return self._iter_type(schemas.RealizableSchema)
+        return iter(self._index.realizables.values())
 
     def dispositions(self) -> Iterator[schemas.RealizableSchema]:
-        for schema in self.realizables():
-            if schema.variant == schemas.DISPOSITION:
-                yield schema
+        return iter(self._index.dispositions)
 
     def transitionals(self) -> Iterator[schemas.TransitionalSchema]:
-        return self._iter_type(schemas.TransitionalSchema)
+        return iter(self._index.transitionals.values())
 
     def chains(self) -> Iterator[schemas.ChainSchema]:
-        return self._iter_type(schemas.ChainSchema)
+        return iter(self._index.chains.values())
 
     def processes(self) -> Iterator[schemas.ProcessSchema]:
-        return self._iter_type(schemas.ProcessSchema)
+        return iter(self._index.processes.values())
 
     # -- kind queries ----------------------------------------------------------
 
@@ -177,13 +204,13 @@ class Registry:
 
     def determinable_declarers(self, determinable: str) -> tuple[str, ...]:
         """Schemas that introduce (not merely inherit) the determinable."""
-        return self._declarers.get(determinable, ())
+        return self._index.declarers.get(determinable, ())
 
     def is_determinable(self, name: str) -> bool:
-        return name in self._declarers
+        return name in self._index.declarers
 
     def predicate_declared(self, name: str) -> bool:
-        return name in self._predicates
+        return name in self._index.predicates
 
 
 class RegistryBuilder:
@@ -242,42 +269,39 @@ class RegistryBuilder:
         An inheritance cycle stops resolution before flattening, which needs
         a DAG; otherwise every check runs and reports all it finds.
         """
-        table = dict(self._schemas)
-        findings: list[Finding] = []
-        self._check_inheritance_cycles(table, findings)
-        if findings:
-            return None, findings
-        resolved = dict(table)
-        resolved.update(self._flatten_objects(table))
-        self._auto_register_needs(resolved)
-        self._collect_dangling(resolved, findings)
-        self._check_transitional_variables(resolved, findings)
-        self._check_chain_bodies(resolved, findings)
-        self._check_aggregate_recursion(resolved, findings)
-        self._check_part_recursion(resolved, findings)
-        if findings:
-            return None, findings
-        kind_table = self._build_kind_table(resolved)
-
-        payload = {name: _schema_payload(s) for name, s in sorted(resolved.items())}
-        fingerprint = stable_fingerprint(payload)
-        raw_objects = {
+        declared_objects = {
             name: s for name, s in self._schemas.items()
             if isinstance(s, schemas.ThickObjectSchema)
         }
-        return Registry(resolved, raw_objects, kind_table, fingerprint), []
+        findings: list[Finding] = []
+        self._check_inheritance_cycles(declared_objects, findings)
+        if findings:
+            return None, findings
+        flat = self._flatten_objects(declared_objects)
+        index = SchemaIndex({**self._schemas, **flat}, declared_objects)
+        self._collect_dangling(index, findings)
+        self._check_transitional_variables(index, findings)
+        self._check_chain_bodies(index, findings)
+        self._check_aggregate_recursion(index, findings)
+        self._check_part_recursion(index, findings)
+        if findings:
+            return None, findings
+        kind_table = self._build_kind_table(index)
 
-    def _check_inheritance_cycles(self, table: dict, findings: list[Finding]) -> None:
+        payload = {name: _schema_payload(s) for name, s in sorted(index.table.items())}
+        return Registry(index, kind_table, stable_fingerprint(payload)), []
+
+    def _check_inheritance_cycles(self, objects: dict, findings: list[Finding]) -> None:
         on_cycle: set[str] = set()
-        for name, schema in table.items():
-            if not isinstance(schema, schemas.ThickObjectSchema) or name in on_cycle:
+        for name, schema in objects.items():
+            if name in on_cycle:
                 continue
             seen = {name}
             cursor = schema.parent
             while cursor is not None and cursor not in seen:
                 seen.add(cursor)
-                parent = table.get(cursor)
-                cursor = parent.parent if isinstance(parent, schemas.ThickObjectSchema) else None
+                parent = objects.get(cursor)
+                cursor = parent.parent if parent is not None else None
             # The walk returns to its start only when the start lies on the
             # cycle; then ``seen`` is exactly the cycle, reported once.
             if cursor == name:
@@ -286,109 +310,75 @@ class RegistryBuilder:
                     (diag.INHERITANCE_CYCLE, name, f"inheritance cycle through {name!r}")
                 )
 
-    def _flatten_objects(self, table: dict) -> dict[str, schemas.ThickObjectSchema]:
+    def _flatten_objects(self, objects: dict) -> dict[str, schemas.ThickObjectSchema]:
         flat: dict[str, schemas.ThickObjectSchema] = {}
 
         def flatten(name: str) -> schemas.ThickObjectSchema:
             if name in flat:
                 return flat[name]
-            schema = table[name]
-            if schema.parent is not None and isinstance(
-                table.get(schema.parent), schemas.ThickObjectSchema
-            ):
+            schema = objects[name]
+            if schema.parent in objects:
                 schema = schemas.flatten_object(schema, flatten(schema.parent))
             flat[name] = schema
             return schema
 
-        for name, schema in table.items():
-            if isinstance(schema, schemas.ThickObjectSchema):
-                flatten(name)
+        for name in objects:
+            flatten(name)
         return flat
 
-    def _auto_register_needs(self, resolved: dict) -> None:
-        # Needs are leaf records; a Function's `serves` reference creates one.
-        for schema in list(resolved.values()):
-            if isinstance(schema, schemas.RealizableSchema) and schema.serves:
-                if schema.serves not in resolved:
-                    resolved[schema.serves] = schemas.Need(schema.serves)
-
-    def _collect_dangling(self, resolved: dict, findings: list[Finding]) -> None:
+    def _collect_dangling(self, index: SchemaIndex, findings: list[Finding]) -> None:
         def missing(owner: str, ref: str) -> None:
             findings.append((diag.DANGLING_REFERENCE, owner, f"{owner}: {ref} not found"))
 
-        def kind_exists(name: str) -> bool:
-            if kinds.is_upper(name):
-                return True
-            return isinstance(
-                resolved.get(name), (schemas.ThickObjectSchema, schemas.AggregateSchema)
-            )
-
-        def predicate_exists(name: str) -> bool:
-            if name in BUILTIN_PREDICATES:
-                return True
-            if isinstance(resolved.get(name), schemas.RelationSchema):
-                return True
-            return any(
-                isinstance(s, schemas.ThickObjectSchema) and s.quality_slot(name)
-                for s in resolved.values()
-            )
-
         def check_pattern(owner: str, pattern: schemas.Pattern, bearer_kind: str | None) -> None:
-            if not predicate_exists(pattern.predicate):
+            if pattern.predicate not in index.predicates:
                 missing(owner, f"predicate {pattern.predicate!r}")
                 return
             # Determinant constants are checkable when the subject is the bearer.
-            if bearer_kind is None or pattern.subject != schemas.BEARER:
+            bearer = index.objects.get(bearer_kind)
+            if bearer is None or pattern.subject != schemas.BEARER:
                 return
-            slot = None
-            bearer = resolved.get(bearer_kind)
-            if isinstance(bearer, schemas.ThickObjectSchema):
-                slot = bearer.quality_slot(pattern.predicate)
-            if slot is None:
-                return
-            ontology = resolved.get(slot.ontology)
+            slot = bearer.quality_slot(pattern.predicate)
+            ontology = index.qualities.get(slot.ontology) if slot is not None else None
             obj = pattern.object
             if (
-                isinstance(ontology, schemas.QualityOntology)
+                ontology is not None
                 and obj.kind in (schemas.CONST, schemas.TEXT)
                 and obj.value not in ontology.determinants
             ):
                 missing(owner, f"determinant {obj.value!r} not in quality {slot.ontology!r}")
 
-        for name, schema in resolved.items():
+        for name, schema in index.table.items():
             if isinstance(schema, schemas.ThickObjectSchema):
-                if schema.parent is not None and not isinstance(
-                    resolved.get(schema.parent), schemas.ThickObjectSchema
-                ):
+                if schema.parent is not None and schema.parent not in index.objects:
                     missing(name, f"parent {schema.parent!r}")
                 for slot in schema.qualities:
-                    if not isinstance(resolved.get(slot.ontology), schemas.QualityOntology):
+                    if slot.ontology not in index.qualities:
                         missing(name, f"quality ontology {slot.ontology!r}")
                 for part in schema.parts:
-                    if not isinstance(resolved.get(part.schema), schemas.ThickObjectSchema):
+                    if part.schema not in index.objects:
                         missing(name, f"part schema {part.schema!r}")
                 for rname in schema.realizables:
-                    if not isinstance(resolved.get(rname), schemas.RealizableSchema):
+                    if rname not in index.realizables:
                         missing(name, f"realizable {rname!r}")
             elif isinstance(schema, schemas.RelationSchema):
                 for ref in (schema.subject_kind, schema.object_kind):
-                    if not kind_exists(ref):
+                    if ref not in index.kind_names:
                         missing(name, f"kind {ref!r}")
             elif isinstance(schema, schemas.RealizableSchema):
-                if schema.bearer_kind is not None and not kind_exists(schema.bearer_kind):
+                if schema.bearer_kind is not None and schema.bearer_kind not in index.kind_names:
                     missing(name, f"bearer kind {schema.bearer_kind!r}")
-                if schema.context is not None and not isinstance(
-                    resolved.get(schema.context), schemas.AggregateSchema
-                ):
+                if schema.context is not None and schema.context not in index.aggregates:
                     missing(name, f"context aggregate {schema.context!r}")
-                if schema.realization is not None and not isinstance(
-                    resolved.get(schema.realization), schemas.TransitionalSchema
+                if (
+                    schema.realization is not None
+                    and schema.realization not in index.transitionals
                 ):
                     missing(name, f"realization {schema.realization!r}")
                 if schema.trigger is not None:
                     check_pattern(name, schema.trigger, schema.bearer_kind)
             elif isinstance(schema, schemas.TransitionalSchema):
-                if schema.bearer_kind is not None and not kind_exists(schema.bearer_kind):
+                if schema.bearer_kind is not None and schema.bearer_kind not in index.kind_names:
                     missing(name, f"bearer kind {schema.bearer_kind!r}")
                 for pattern in schema.guards:
                     check_pattern(name, pattern, schema.bearer_kind)
@@ -396,11 +386,11 @@ class RegistryBuilder:
                     check_pattern(name, edit.pattern, schema.bearer_kind)
             elif isinstance(schema, schemas.AggregateSchema):
                 for member in schema.members:
-                    if not kind_exists(member.schema):
+                    if member.schema not in index.kind_names:
                         missing(name, f"member schema {member.schema!r}")
                 slots = {m.slot for m in schema.members}
                 for link in schema.links:
-                    if not predicate_exists(link.relation):
+                    if link.relation not in index.predicates:
                         missing(name, f"link relation {link.relation!r}")
                     for slot in (link.subject_slot, link.object_slot):
                         if slot not in slots:
@@ -408,38 +398,30 @@ class RegistryBuilder:
             elif isinstance(schema, schemas.ChainSchema):
                 for step in schemas.walk_steps(schema.steps):
                     if isinstance(step, schemas.DoStep):
-                        if not isinstance(
-                            resolved.get(step.transitional), schemas.TransitionalSchema
-                        ):
+                        if step.transitional not in index.transitionals:
                             missing(name, f"transitional {step.transitional!r}")
-                    else:
-                        condition = (
-                            step.condition
-                            if isinstance(step, (schemas.IfStep, schemas.WhileStep))
-                            else None
-                        )
-                        if condition is not None and not predicate_exists(condition.predicate):
-                            missing(name, f"predicate {condition.predicate!r}")
+                    elif (
+                        step.condition is not None
+                        and step.condition.predicate not in index.predicates
+                    ):
+                        missing(name, f"predicate {step.condition.predicate!r}")
             elif isinstance(schema, schemas.ProcessSchema):
                 for ref in schema.participants:
-                    if not kind_exists(ref):
+                    if ref not in index.kind_names:
                         missing(name, f"participant kind {ref!r}")
 
-    def _check_transitional_variables(self, resolved: dict, findings: list[Finding]) -> None:
-        for schema in resolved.values():
-            if isinstance(schema, schemas.TransitionalSchema):
-                loose = schema.unbound_variables()
-                if loose:
-                    findings.append((
-                        diag.UNBOUND_VARIABLE, schema.name,
-                        f"transitional {schema.name!r} edits unbound "
-                        f"variable(s): {', '.join(loose)}",
-                    ))
+    def _check_transitional_variables(self, index: SchemaIndex, findings: list[Finding]) -> None:
+        for schema in index.transitionals.values():
+            loose = schema.unbound_variables()
+            if loose:
+                findings.append((
+                    diag.UNBOUND_VARIABLE, schema.name,
+                    f"transitional {schema.name!r} edits unbound "
+                    f"variable(s): {', '.join(loose)}",
+                ))
 
-    def _check_chain_bodies(self, resolved: dict, findings: list[Finding]) -> None:
-        for schema in resolved.values():
-            if not isinstance(schema, schemas.ChainSchema):
-                continue
+    def _check_chain_bodies(self, index: SchemaIndex, findings: list[Finding]) -> None:
+        for schema in index.chains.values():
             if schema.kind not in schemas.CHAIN_KINDS:
                 findings.append((
                     diag.INVALID_CHAIN, schema.name,
@@ -453,26 +435,17 @@ class RegistryBuilder:
                     f"sequence {schema.name!r} admits no conditionals or loops",
                 ))
 
-    def _check_aggregate_recursion(self, resolved: dict, findings: list[Finding]) -> None:
+    def _check_aggregate_recursion(self, index: SchemaIndex, findings: list[Finding]) -> None:
         # Aggregate membership must be a DAG; kinship-style recursion is rejected.
         edges = {
-            name: [
-                m.schema
-                for m in schema.members
-                if isinstance(resolved.get(m.schema), schemas.AggregateSchema)
-            ]
-            for name, schema in resolved.items()
-            if isinstance(schema, schemas.AggregateSchema)
+            name: [m.schema for m in schema.members if m.schema in index.aggregates]
+            for name, schema in index.aggregates.items()
         }
         self._reject_cycles(edges, diag.RECURSIVE_AGGREGATE, "aggregate", findings)
 
-    def _check_part_recursion(self, resolved: dict, findings: list[Finding]) -> None:
+    def _check_part_recursion(self, index: SchemaIndex, findings: list[Finding]) -> None:
         # Part slots auto-instantiate on spawn, so the part graph must be a DAG.
-        edges = {
-            name: [p.schema for p in schema.parts]
-            for name, schema in resolved.items()
-            if isinstance(schema, schemas.ThickObjectSchema)
-        }
+        edges = {name: [p.schema for p in schema.parts] for name, schema in index.objects.items()}
         self._reject_cycles(edges, diag.RECURSIVE_COMPOSITION, "part", findings)
 
     @staticmethod
@@ -494,24 +467,17 @@ class RegistryBuilder:
         for node in edges:
             visit(node, ())
 
-    def _build_kind_table(self, resolved: dict) -> kinds.KindTable:
-        user: dict[str, str] = {}
-        for name, schema in resolved.items():
-            if isinstance(schema, schemas.ThickObjectSchema):
-                user[name] = schema.parent if schema.parent else kinds.OBJECT
-            elif isinstance(schema, schemas.AggregateSchema):
-                user[name] = kinds.OBJECT_AGGREGATE
-            elif isinstance(schema, schemas.QualityOntology):
-                user[name] = kinds.QUALITY
-            elif isinstance(schema, schemas.RelationSchema):
-                if schema.relational_quality:
-                    user[name] = kinds.RELATIONAL_QUALITY
-            elif isinstance(schema, schemas.RealizableSchema):
-                user[name] = schema.variant
-            elif isinstance(schema, schemas.TransitionalSchema):
-                user[name] = kinds.TRANSITIONAL
-            elif isinstance(schema, (schemas.ChainSchema, schemas.ProcessSchema)):
-                user[name] = kinds.PROCESS
+    def _build_kind_table(self, index: SchemaIndex) -> kinds.KindTable:
+        user = {name: schema.parent or kinds.OBJECT for name, schema in index.objects.items()}
+        user.update(dict.fromkeys(index.aggregates, kinds.OBJECT_AGGREGATE))
+        user.update(dict.fromkeys(index.qualities, kinds.QUALITY))
+        user.update(
+            (name, kinds.RELATIONAL_QUALITY)
+            for name, schema in index.relations.items() if schema.relational_quality
+        )
+        user.update((name, schema.variant) for name, schema in index.realizables.items())
+        user.update(dict.fromkeys(index.transitionals, kinds.TRANSITIONAL))
+        user.update(dict.fromkeys([*index.chains, *index.processes], kinds.PROCESS))
         return kinds.KindTable(user)
 
 
@@ -543,10 +509,8 @@ def validation_findings(registry: Registry) -> list[Finding]:
                 diag.UNBOUND_OCCURRENT, schema.name,
                 f"process {schema.name!r} has no Independent Continuant participant",
             ))
-    for schema in registry.realizables():
-        if schema.variant == schemas.DISPOSITION and (
-            schema.trigger is None or schema.realization is None
-        ):
+    for schema in registry.dispositions():
+        if schema.trigger is None or schema.realization is None:
             out.append((
                 diag.DISPOSITION_INCOMPLETE, schema.name,
                 f"disposition {schema.name!r} must declare both trigger and realization",

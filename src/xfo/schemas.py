@@ -116,12 +116,6 @@ class ThickObjectSchema:
                 return slot
         return None
 
-    def part_slot(self, name: str) -> PartSlot | None:
-        for slot in self.parts:
-            if slot.slot == name:
-                return slot
-        return None
-
 
 def flatten_object(child: ThickObjectSchema, parent: ThickObjectSchema) -> ThickObjectSchema:
     """Merge a parent's slots into a child, child redeclarations winning.

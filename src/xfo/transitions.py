@@ -17,6 +17,7 @@ from .errors import (
     DestroyedBearerError,
     MissingBindingError,
     UnknownChainError,
+    UnknownInstanceError,
     XfoError,
 )
 from .relations import RelationStore
@@ -228,30 +229,28 @@ def instantiate_chain(
     chain = registry.chain(chain_name)
     if chain is None:
         raise UnknownChainError(f"unknown chain: {chain_name}")
+    bound: list[tuple[str, str]] = []  # (instance id, schema) in binding-name order
     for name, instance_id in sorted(bindings.items()):
-        if not world.store.has_instance(instance_id):
+        try:
+            bound.append((instance_id, world.store.instance(instance_id).schema))
+        except UnknownInstanceError:
             raise MissingBindingError(
                 f"binding {name}={instance_id!r} names an unknown instance"
-            )
+            ) from None
     bearer_map: dict[str, str] = {}
-    for step in reachable_do_steps(chain):
-        transitional = registry.transitional(step.transitional)
-        if step.transitional in bearer_map or transitional is None:
+    for name in dict.fromkeys(step.transitional for step in reachable_do_steps(chain)):
+        transitional = registry.transitional(name)
+        if transitional is None:
             continue
-        bearer = None
-        for _, instance_id in sorted(bindings.items()):
-            record = world.store.instance(instance_id)
-            if transitional.bearer_kind and registry.is_subkind(
-                record.schema, transitional.bearer_kind
-            ):
-                bearer = instance_id
+        kind = transitional.bearer_kind
+        for instance_id, schema in bound:
+            if kind and registry.is_subkind(schema, kind):
+                bearer_map[name] = instance_id
                 break
-        if bearer is None:
+        else:
             raise MissingBindingError(
-                f"chain {chain_name!r} needs a {transitional.bearer_kind} bound "
-                f"for transitional {step.transitional!r}"
+                f"chain {chain_name!r} needs a {kind} bound for transitional {name!r}"
             )
-        bearer_map[step.transitional] = bearer
     return ChainInstance(
         schema=chain,
         bindings=dict(bindings),

@@ -286,3 +286,29 @@ def test_resolution_runs_after_lowering_reports_a_dangling_reference():
         ("UnboundVariable", "m.xfo", 6),
     ]
     assert sum("Oven" in d.message for d in result.diagnostics) == 1
+
+
+def test_declaration_dropped_by_the_parser_is_reported_once():
+    # The quality's syntax error is its one report: the slot that names it
+    # is not also dangling, while an undeclared ontology next to it still is.
+    result = compile_sources(
+        {"m": "quality hue { }\nobject Lamp { quality hue: hue required }\n"}
+    )
+    assert [(d.code, d.span.line) for d in result.diagnostics] == [("SyntaxError", 1)]
+    result = compile_sources(
+        {
+            "m": (
+                "quality hue { }\n"
+                "object Lamp {\n"
+                "  quality hue: hue required\n"
+                "  quality size: size\n"
+                "}\n"
+            )
+        }
+    )
+    assert [(d.code, d.span.line) for d in result.diagnostics] == [
+        ("SyntaxError", 1),
+        ("DanglingReference", 4),
+    ]
+    assert "'size'" in result.diagnostics[1].message
+    assert not result.ok

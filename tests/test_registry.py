@@ -1,6 +1,7 @@
 import pytest
 
 from xfo import RegistryBuilder, validate_registry
+from xfo.diagnostics import DANGLING_REFERENCE
 from xfo.errors import (
     DanglingReferenceError,
     DuplicateNameError,
@@ -11,19 +12,25 @@ from xfo.errors import (
     ReservedUpperTaxonomyNameError,
     UnboundVariableError,
 )
+from xfo.registry import BUILTIN_PREDICATES
 from xfo.schemas import (
+    BEARER,
+    DISPOSITION,
+    AggregateLink,
     AggregateMember,
     AggregateSchema,
     ChainSchema,
     DoStep,
     Edit,
     IfStep,
+    Need,
     Pattern,
     PartSlot,
     ProcessSchema,
     QualityOntology,
     QualitySlot,
     RealizableSchema,
+    RelationSchema,
     ThickObjectSchema,
     TransitionalSchema,
     WhileStep,
@@ -330,3 +337,166 @@ def test_validator_flags_incomplete_disposition():
 
 def test_validator_clean_on_corpus(registry):
     assert validate_registry(registry) == []
+
+
+# --- the schema index against a scan of the whole table -----------------------
+
+# (schema type, typed getter, iterator); Needs have no iterator.
+TYPED_LOOKUPS = (
+    (ThickObjectSchema, "object_schema", "objects"),
+    (QualityOntology, "quality", "qualities"),
+    (RelationSchema, "relation", "relations"),
+    (AggregateSchema, "aggregate", "aggregates"),
+    (RealizableSchema, "realizable", "realizables"),
+    (TransitionalSchema, "transitional", "transitionals"),
+    (ChainSchema, "chain", "chains"),
+    (ProcessSchema, "process", "processes"),
+    (Need, "need", None),
+)
+
+
+def assert_lookups_match_table_scan(registry):
+    """Every typed lookup and name set equals a brute-force scan of the table.
+
+    A child introduces a determinable when its slot differs from the one it
+    inherits; the cases below override slots only with a changed slot.
+    """
+    table = registry.schemas
+    for cls, getter, iterator in TYPED_LOOKUPS:
+        for name in (*table, "Nowhere"):
+            expected = table[name] if isinstance(table.get(name), cls) else None
+            assert getattr(registry, getter)(name) is expected, (getter, name)
+        if iterator is not None:
+            scanned = [s for s in table.values() if isinstance(s, cls)]
+            assert list(getattr(registry, iterator)()) == scanned, iterator
+    assert list(registry.dispositions()) == [
+        s for s in table.values()
+        if isinstance(s, RealizableSchema) and s.variant == DISPOSITION
+    ]
+    objects = [s for s in table.values() if isinstance(s, ThickObjectSchema)]
+    determinables = {slot.determinable for s in objects for slot in s.qualities}
+    for name in (*table, *determinables, *BUILTIN_PREDICATES, "nowhere"):
+        assert registry.is_determinable(name) == (name in determinables), name
+        assert registry.predicate_declared(name) == (
+            name in BUILTIN_PREDICATES
+            or isinstance(table.get(name), RelationSchema)
+            or name in determinables
+        ), name
+        assert registry.determinable_declarers(name) == tuple(
+            s.name for s in objects
+            if s.quality_slot(name) is not None
+            and (s.parent is None or table[s.parent].quality_slot(name) != s.quality_slot(name))
+        ), name
+
+
+def parent_determinable_schemas():
+    # ``fill`` is declared only on Vessel and used through a Jug bearer.
+    fill = Pattern("fill", BEARER, const("low"))
+    return [
+        QualityOntology("level", ("low", "high")),
+        ThickObjectSchema("Vessel", qualities=(QualitySlot("fill", "level"),)),
+        ThickObjectSchema("Jug", parent="Vessel"),
+        TransitionalSchema(
+            "top_up", "Jug",
+            guards=(fill,),
+            edits=(
+                Edit("delete", fill),
+                Edit("create", Pattern("fill", BEARER, const("high"))),
+            ),
+        ),
+        ChainSchema("refill", "mechanism", steps=(WhileStep(fill, (DoStep("top_up"),)),)),
+        RealizableSchema("pour", "Function", bearer_kind="Jug", serves="drinking"),
+        ProcessSchema("brewing", participants=("Jug",)),
+    ]
+
+
+def overridden_slot_schemas():
+    # Beacon redeclares ``shade`` over another ontology; ``dull`` is a
+    # determinant of the override only.
+    return [
+        QualityOntology("level", ("low", "high")),
+        QualityOntology("tone", ("dull", "bright")),
+        ThickObjectSchema("Lamp", qualities=(QualitySlot("shade", "level"),)),
+        ThickObjectSchema(
+            "Beacon", parent="Lamp",
+            qualities=(QualitySlot("shade", "tone", required=True), QualitySlot("lit", "level")),
+        ),
+        TransitionalSchema(
+            "brighten", "Beacon",
+            guards=(Pattern("shade", BEARER, const("dull")),),
+            edits=(
+                Edit("delete", Pattern("shade", BEARER, const("dull"))),
+                Edit("create", Pattern("shade", BEARER, const("bright"))),
+            ),
+        ),
+    ]
+
+
+def undeclared_predicate_schemas():
+    # ``struck``, ``hit``, ``cracked`` and ``touches`` are declared nowhere;
+    # ``crack``, ``leans_on`` and ``part_of`` are declared next to them.
+    return [
+        QualityOntology("level", ("low", "high")),
+        ThickObjectSchema("Pane", qualities=(QualitySlot("crack", "level"),)),
+        RelationSchema("leans_on", "Pane", "Pane"),
+        TransitionalSchema(
+            "shatter", "Pane",
+            guards=(Pattern("crack", BEARER, const("low")), Pattern("struck", BEARER, var("by"))),
+            edits=(Edit("create", Pattern("crack", BEARER, const("high"))),),
+        ),
+        RealizableSchema(
+            "fragility", "Disposition", bearer_kind="Pane",
+            trigger=Pattern("hit", BEARER, var("x")), realization="shatter",
+        ),
+        ChainSchema(
+            "inspect", "mechanism",
+            steps=(
+                IfStep(Pattern("cracked", var("p"), const("yes")), (DoStep("shatter"),)),
+                WhileStep(Pattern("part_of", var("p"), var("q")), (DoStep("shatter"),)),
+            ),
+        ),
+        AggregateSchema(
+            "Frame",
+            members=(AggregateMember("a", "Pane"), AggregateMember("b", "Pane")),
+            links=(AggregateLink("leans_on", "a", "b"), AggregateLink("touches", "b", "a")),
+        ),
+    ]
+
+
+INDEX_CASES = {
+    "parent-determinable": (parent_determinable_schemas, []),
+    "overridden-slot": (overridden_slot_schemas, []),
+    "undeclared-predicates": (
+        undeclared_predicate_schemas,
+        [
+            ("shatter", "shatter: predicate 'struck' not found"),
+            ("fragility", "fragility: predicate 'hit' not found"),
+            ("inspect", "inspect: predicate 'cracked' not found"),
+            ("Frame", "Frame: link relation 'touches' not found"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INDEX_CASES)
+def test_index_rejects_exactly_undeclared_predicates_and_matches_scan(case):
+    make_schemas, expected = INDEX_CASES[case]
+    registry, findings = RegistryBuilder().register_all(make_schemas()).resolve_with_findings()
+    assert findings == [(DANGLING_REFERENCE, owner, message) for owner, message in expected]
+    if expected:
+        # Declaring each missing predicate as a relation makes the set resolve.
+        missing = [message.split("'")[1] for _, message in expected]
+        builder = RegistryBuilder().register_all(make_schemas())
+        builder.register_all(RelationSchema(name, "Pane", "Pane") for name in missing)
+        registry, findings = builder.resolve_with_findings()
+        assert findings == []
+    assert_lookups_match_table_scan(registry)
+
+
+def test_corpus_index_matches_scan(registry):
+    rebuilt, findings = RegistryBuilder().register_all(
+        registry.schemas.values()
+    ).resolve_with_findings()
+    assert findings == []
+    assert rebuilt.fingerprint == registry.fingerprint
+    assert_lookups_match_table_scan(registry)
