@@ -3,22 +3,40 @@
 A fingerprint is the first 64 bits of a SHA-256 digest over a canonical
 JSON encoding (sorted keys, tight separators, ASCII only), so equal
 definitions hash equally across runs and platforms regardless of
-PYTHONHASHSEED.
+PYTHONHASHSEED. The encoding writes a dataclass instance as the object of
+its dataclass fields by name, and a tuple as an array. A registry's payload
+maps each schema name to its schema so encoded, plus a ``__type__`` key
+naming the schema's class; the schemas nested in it carry no ``__type__``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from collections.abc import Iterator
+from functools import cache
 from itertools import islice
 from typing import Any
 
 _CHUNK = 512  # array elements encoded per call when streaming
 
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def dataclass_fields(obj: Any) -> dict[str, Any]:
+    """A dataclass instance's fields by name; the values are not copied."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
 def canonical_json(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+        default=dataclass_fields,
+    )
 
 
 def stable_fingerprint(payload: Any) -> str:

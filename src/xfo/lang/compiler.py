@@ -316,15 +316,16 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
         )
 
     # Resolution runs even after lowering errors, so every error of a compile
-    # shows at once; a name lowering or the parser already reported is not
-    # repeated.
+    # shows at once; a reference to a name lowering or the parser already
+    # reported is not repeated.
     registry, findings = builder.resolve_with_findings()
     if registry is not None:
         findings = validation_findings(registry)
-    for code, owner, message in findings:
-        if code == DANGLING_REFERENCE and any(repr(n) in message for n in unresolved):
-            continue
-        diagnostics.append(Diagnostic(ERROR, code, message, *spans[owner]))
+    for finding in findings:
+        if finding.name not in unresolved:  # a name of None is never there
+            diagnostics.append(
+                Diagnostic(ERROR, finding.code, finding.message, *spans[finding.owner])
+            )
     if has_errors(diagnostics):
         registry = None
     return CompileResult(registry, worlds, tuple(claims), tuple(infos), diagnostics)

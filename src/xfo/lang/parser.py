@@ -61,9 +61,8 @@ class Parser:
 
     # -- token plumbing -------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]  # ``advance`` stops at EOF, the last token
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -72,10 +71,10 @@ class Parser:
         return token
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def at_word(self, word: str) -> bool:
-        token = self.peek()
+        token = self.tokens[self.pos]
         return token.kind == IDENT and token.text == word
 
     def error(self, message: str, token: Token | None = None) -> _ParseError:
@@ -83,15 +82,18 @@ class Parser:
         self.diagnostics.append(Diagnostic(ERROR, SYNTAX, message, self.file, token.span))
         return _ParseError(message)
 
+    def unexpected(self, what: str) -> _ParseError:
+        return self.error(f"expected {what}, found {self.peek().text or 'end of file'!r}")
+
     def expect(self, kind: str, what: str) -> Token:
         if self.at(kind):
             return self.advance()
-        raise self.error(f"expected {what}, found {self.peek().text or 'end of file'!r}")
+        raise self.unexpected(what)
 
     def expect_word(self, word: str) -> Token:
         if self.at_word(word):
             return self.advance()
-        raise self.error(f"expected {word!r}, found {self.peek().text or 'end of file'!r}")
+        raise self.unexpected(repr(word))
 
     def ident(self, what: str) -> Token:
         return self.expect(IDENT, what)
@@ -111,10 +113,10 @@ class Parser:
         return ".".join(parts)
 
     def span_from(self, start_index: int) -> Span:
-        start = self.tokens[start_index].span
-        last = self.tokens[max(start_index, self.pos - 1)].span
-        end = last.offset + last.length
-        return Span(start.line, start.column, max(end - start.offset, 0), start.offset)
+        start = self.tokens[start_index]
+        last = self.tokens[max(start_index, self.pos - 1)]
+        length = max(last.offset + last.length - start.offset, 0)
+        return Span(start.line, start.column, length, start.offset)
 
     def sync(self) -> None:
         depth = 0
@@ -140,9 +142,7 @@ class Parser:
             try:
                 token = self.peek()
                 if token.kind != IDENT or token.text not in DECL_KEYWORDS:
-                    raise self.error(
-                        f"expected a declaration keyword, found {token.text or 'end of file'!r}"
-                    )
+                    raise self.unexpected("a declaration keyword")
                 word = token.text
                 if word == "import":
                     self.advance()
@@ -172,7 +172,7 @@ class Parser:
                 if self.declaring is not None:
                     dropped.append(self.declaring)
                 self.sync()
-        end = self.tokens[-1].span.offset  # EOF offset == source length
+        end = self.tokens[-1].offset  # EOF offset == source length
         return ast.SourceModule(
             name, facet, tuple(imports), tuple(decls), span=Span(1, 1, end, 0), file=self.file,
             dropped=tuple(dropped),
@@ -246,10 +246,7 @@ class Parser:
             self.advance()
             name = self.ident("role name").text
             return ast.RoleNode(name, span=self.span_from(start))
-        raise self.error(
-            f"expected an object item (quality/part/function/role), "
-            f"found {self.peek().text or 'end of file'!r}"
-        )
+        raise self.unexpected("an object item (quality/part/function/role)")
 
     def aggregate_decl(self, start: int) -> ast.AggregateNode:
         self.expect_word("aggregate")
@@ -279,9 +276,7 @@ class Parser:
                     ast.LinkNode(relation, subject, obj, span=self.span_from(item_start))
                 )
             else:
-                raise self.error(
-                    f"expected 'member' or 'link', found {self.peek().text or 'end of file'!r}"
-                )
+                raise self.unexpected("'member' or 'link'")
         self.expect(RBRACE, "'}'")
         return ast.AggregateNode(name, tuple(members), tuple(links), span=self.span_from(start))
 
@@ -384,9 +379,7 @@ class Parser:
             condition = self.pattern()
             body = self.step_block()
             return ast.WhileNode(condition, body, span=self.span_from(start))
-        raise self.error(
-            f"expected a step (do/if/while), found {self.peek().text or 'end of file'!r}"
-        )
+        raise self.unexpected("a step (do/if/while)")
 
     def disposition_decl(self, start: int) -> ast.DispositionNode:
         self.expect_word("disposition")
@@ -414,7 +407,8 @@ class Parser:
                 schema = self.ref("schema name")
                 assignments: list[ast.AssignNode] = []
                 # Assignments are IDENT '=' term; anything else ends the spawn.
-                while self.at(IDENT) and self.peek(1).kind == EQUALS:
+                # An IDENT is never the last token, so pos + 1 is in range.
+                while self.at(IDENT) and self.tokens[self.pos + 1].kind == EQUALS:
                     assign_start = self.pos
                     determinable = self.advance().text
                     self.advance()  # '='
@@ -432,9 +426,7 @@ class Parser:
                 self.advance()
                 asserts.append(self.pattern())
             else:
-                raise self.error(
-                    f"expected 'spawn' or 'assert', found {self.peek().text or 'end of file'!r}"
-                )
+                raise self.unexpected("'spawn' or 'assert'")
         self.expect(RBRACE, "'}'")
         return ast.WorldNode(name, tuple(spawns), tuple(asserts), span=self.span_from(start))
 

@@ -8,16 +8,20 @@ type, plus the predicate, kind and determinable name sets. Every resolution
 check, the validator and the Registry's lookups read that index, so none of
 them type-tests or scans the whole table per call.
 
-Resolution and validation report ``(code, owner, message)`` findings, where
-``code`` is a diagnostic code and ``owner`` the schema at fault; the compiler
-anchors each at its owner's declaration.
+Resolution and validation report Findings: a diagnostic code, the schema at
+fault, a message and, for a dangling reference to a schema or predicate, the
+name it references. The compiler anchors each at its owner's declaration.
+
+The registry fingerprint is ``stable_fingerprint`` over a payload that maps
+each schema name, in sorted order, to the schema's dataclass fields by name
+plus ``__type__``, its class name; nested schema values (slots, patterns,
+steps) are encoded by their fields alone, with no ``__type__``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from types import MappingProxyType
-from typing import Iterator, get_args
+from typing import Iterator, NamedTuple, get_args
 
 from . import diagnostics as diag
 from . import kinds, schemas
@@ -32,13 +36,19 @@ from .errors import (
     UnboundVariableError,
     XfoError,
 )
-from .fingerprint import stable_fingerprint
+from .fingerprint import dataclass_fields, stable_fingerprint
 
 # Predicates available in every registry. Subject must be an alive instance;
 # object rules vary per predicate (see relations.RelationStore).
 BUILTIN_PREDICATES = ("part_of", "member_of", "located_in", "has_role", "participates_in")
 
-Finding = tuple[str, str, str]  # (diagnostic code, owning schema name, message)
+
+class Finding(NamedTuple):
+    code: str  # diagnostic code
+    owner: str  # the schema at fault
+    message: str
+    name: str | None = None  # the undeclared name a dangling reference names
+
 
 # Typed errors ``RegistryBuilder.resolve`` raises for API callers.
 _RESOLVE_ERRORS = {
@@ -48,12 +58,6 @@ _RESOLVE_ERRORS = {
     diag.RECURSIVE_AGGREGATE: RecursiveAggregateError,
     diag.RECURSIVE_COMPOSITION: RecursiveCompositionError,
 }
-
-
-def _schema_payload(schema: schemas.Schema) -> dict:
-    payload = dataclasses.asdict(schema)
-    payload["__type__"] = type(schema).__name__
-    return payload
 
 
 class SchemaIndex:
@@ -256,12 +260,12 @@ class RegistryBuilder:
         registry, findings = self.resolve_with_findings()
         if registry is not None:
             return registry
-        code, _, message = findings[0]
-        if code == diag.DANGLING_REFERENCE:
+        first = findings[0]
+        if first.code == diag.DANGLING_REFERENCE:
             raise DanglingReferenceError(
-                [(owner, text) for kind, owner, text in findings if kind == code]
+                [(f.owner, f.message) for f in findings if f.code == first.code]
             )
-        raise _RESOLVE_ERRORS[code](message)
+        raise _RESOLVE_ERRORS[first.code](first.message)
 
     def resolve_with_findings(self) -> tuple[Registry | None, list[Finding]]:
         """Resolve, reporting every finding; the registry is None iff any.
@@ -288,7 +292,10 @@ class RegistryBuilder:
             return None, findings
         kind_table = self._build_kind_table(index)
 
-        payload = {name: _schema_payload(s) for name, s in sorted(index.table.items())}
+        payload = {
+            name: {**dataclass_fields(s), "__type__": type(s).__name__}
+            for name, s in sorted(index.table.items())
+        }
         return Registry(index, kind_table, stable_fingerprint(payload)), []
 
     def _check_inheritance_cycles(self, objects: dict, findings: list[Finding]) -> None:
@@ -307,7 +314,7 @@ class RegistryBuilder:
             if cursor == name:
                 on_cycle |= seen
                 findings.append(
-                    (diag.INHERITANCE_CYCLE, name, f"inheritance cycle through {name!r}")
+                    Finding(diag.INHERITANCE_CYCLE, name, f"inheritance cycle through {name!r}")
                 )
 
     def _flatten_objects(self, objects: dict) -> dict[str, schemas.ThickObjectSchema]:
@@ -327,12 +334,16 @@ class RegistryBuilder:
         return flat
 
     def _collect_dangling(self, index: SchemaIndex, findings: list[Finding]) -> None:
-        def missing(owner: str, ref: str) -> None:
-            findings.append((diag.DANGLING_REFERENCE, owner, f"{owner}: {ref} not found"))
+        def dangling(owner: str, what: str, name: str | None = None) -> None:
+            message = f"{owner}: {what} not found"
+            findings.append(Finding(diag.DANGLING_REFERENCE, owner, message, name))
+
+        def missing(owner: str, what: str, ref: str) -> None:
+            dangling(owner, f"{what} {ref!r}", ref)
 
         def check_pattern(owner: str, pattern: schemas.Pattern, bearer_kind: str | None) -> None:
             if pattern.predicate not in index.predicates:
-                missing(owner, f"predicate {pattern.predicate!r}")
+                missing(owner, "predicate", pattern.predicate)
                 return
             # Determinant constants are checkable when the subject is the bearer.
             bearer = index.objects.get(bearer_kind)
@@ -346,40 +357,40 @@ class RegistryBuilder:
                 and obj.kind in (schemas.CONST, schemas.TEXT)
                 and obj.value not in ontology.determinants
             ):
-                missing(owner, f"determinant {obj.value!r} not in quality {slot.ontology!r}")
+                dangling(owner, f"determinant {obj.value!r} not in quality {slot.ontology!r}")
 
         for name, schema in index.table.items():
             if isinstance(schema, schemas.ThickObjectSchema):
                 if schema.parent is not None and schema.parent not in index.objects:
-                    missing(name, f"parent {schema.parent!r}")
+                    missing(name, "parent", schema.parent)
                 for slot in schema.qualities:
                     if slot.ontology not in index.qualities:
-                        missing(name, f"quality ontology {slot.ontology!r}")
+                        missing(name, "quality ontology", slot.ontology)
                 for part in schema.parts:
                     if part.schema not in index.objects:
-                        missing(name, f"part schema {part.schema!r}")
+                        missing(name, "part schema", part.schema)
                 for rname in schema.realizables:
                     if rname not in index.realizables:
-                        missing(name, f"realizable {rname!r}")
+                        missing(name, "realizable", rname)
             elif isinstance(schema, schemas.RelationSchema):
                 for ref in (schema.subject_kind, schema.object_kind):
                     if ref not in index.kind_names:
-                        missing(name, f"kind {ref!r}")
+                        missing(name, "kind", ref)
             elif isinstance(schema, schemas.RealizableSchema):
                 if schema.bearer_kind is not None and schema.bearer_kind not in index.kind_names:
-                    missing(name, f"bearer kind {schema.bearer_kind!r}")
+                    missing(name, "bearer kind", schema.bearer_kind)
                 if schema.context is not None and schema.context not in index.aggregates:
-                    missing(name, f"context aggregate {schema.context!r}")
+                    missing(name, "context aggregate", schema.context)
                 if (
                     schema.realization is not None
                     and schema.realization not in index.transitionals
                 ):
-                    missing(name, f"realization {schema.realization!r}")
+                    missing(name, "realization", schema.realization)
                 if schema.trigger is not None:
                     check_pattern(name, schema.trigger, schema.bearer_kind)
             elif isinstance(schema, schemas.TransitionalSchema):
                 if schema.bearer_kind is not None and schema.bearer_kind not in index.kind_names:
-                    missing(name, f"bearer kind {schema.bearer_kind!r}")
+                    missing(name, "bearer kind", schema.bearer_kind)
                 for pattern in schema.guards:
                     check_pattern(name, pattern, schema.bearer_kind)
                 for edit in schema.edits:
@@ -387,34 +398,34 @@ class RegistryBuilder:
             elif isinstance(schema, schemas.AggregateSchema):
                 for member in schema.members:
                     if member.schema not in index.kind_names:
-                        missing(name, f"member schema {member.schema!r}")
+                        missing(name, "member schema", member.schema)
                 slots = {m.slot for m in schema.members}
                 for link in schema.links:
                     if link.relation not in index.predicates:
-                        missing(name, f"link relation {link.relation!r}")
+                        missing(name, "link relation", link.relation)
                     for slot in (link.subject_slot, link.object_slot):
                         if slot not in slots:
-                            missing(name, f"link slot {slot!r}")
+                            dangling(name, f"link slot {slot!r}")
             elif isinstance(schema, schemas.ChainSchema):
                 for step in schemas.walk_steps(schema.steps):
                     if isinstance(step, schemas.DoStep):
                         if step.transitional not in index.transitionals:
-                            missing(name, f"transitional {step.transitional!r}")
+                            missing(name, "transitional", step.transitional)
                     elif (
                         step.condition is not None
                         and step.condition.predicate not in index.predicates
                     ):
-                        missing(name, f"predicate {step.condition.predicate!r}")
+                        missing(name, "predicate", step.condition.predicate)
             elif isinstance(schema, schemas.ProcessSchema):
                 for ref in schema.participants:
                     if ref not in index.kind_names:
-                        missing(name, f"participant kind {ref!r}")
+                        missing(name, "participant kind", ref)
 
     def _check_transitional_variables(self, index: SchemaIndex, findings: list[Finding]) -> None:
         for schema in index.transitionals.values():
             loose = schema.unbound_variables()
             if loose:
-                findings.append((
+                findings.append(Finding(
                     diag.UNBOUND_VARIABLE, schema.name,
                     f"transitional {schema.name!r} edits unbound "
                     f"variable(s): {', '.join(loose)}",
@@ -423,14 +434,14 @@ class RegistryBuilder:
     def _check_chain_bodies(self, index: SchemaIndex, findings: list[Finding]) -> None:
         for schema in index.chains.values():
             if schema.kind not in schemas.CHAIN_KINDS:
-                findings.append((
+                findings.append(Finding(
                     diag.INVALID_CHAIN, schema.name,
                     f"chain {schema.name!r} has unknown kind {schema.kind!r}",
                 ))
             elif schema.kind == schemas.SEQUENCE and not all(
                 isinstance(step, schemas.DoStep) for step in schemas.walk_steps(schema.steps)
             ):
-                findings.append((
+                findings.append(Finding(
                     diag.INVALID_CHAIN, schema.name,
                     f"sequence {schema.name!r} admits no conditionals or loops",
                 ))
@@ -454,7 +465,7 @@ class RegistryBuilder:
 
         def visit(node: str, stack: tuple[str, ...]):
             if node in stack:
-                finding = (code, node, f"recursive {label} definition through {node!r}")
+                finding = Finding(code, node, f"recursive {label} definition through {node!r}")
                 if finding not in findings:
                     findings.append(finding)
                 return
@@ -493,32 +504,32 @@ def validation_findings(registry: Registry) -> list[Finding]:
     for schema in registry.transitionals():
         bearer = schema.bearer_kind
         if bearer is None:
-            out.append((
+            out.append(Finding(
                 diag.UNBOUND_OCCURRENT, schema.name,
                 f"transitional {schema.name!r} declares no bearer",
             ))
         elif not registry.is_independent_continuant_kind(bearer):
-            out.append((
+            out.append(Finding(
                 diag.UNBOUND_OCCURRENT, schema.name,
                 f"transitional {schema.name!r} bearer {bearer!r} is not an "
                 "Independent Continuant",
             ))
     for schema in registry.processes():
         if not any(registry.is_independent_continuant_kind(p) for p in schema.participants):
-            out.append((
+            out.append(Finding(
                 diag.UNBOUND_OCCURRENT, schema.name,
                 f"process {schema.name!r} has no Independent Continuant participant",
             ))
     for schema in registry.dispositions():
         if schema.trigger is None or schema.realization is None:
-            out.append((
+            out.append(Finding(
                 diag.DISPOSITION_INCOMPLETE, schema.name,
                 f"disposition {schema.name!r} must declare both trigger and realization",
             ))
     for schema in registry.objects():
         for part in schema.parts:
             if not part.function.strip():
-                out.append((
+                out.append(Finding(
                     diag.PART_WITHOUT_FUNCTION, schema.name,
                     f"part slot {part.slot!r} of {schema.name!r} declares no function",
                 ))
@@ -532,6 +543,6 @@ def validate_registry(registry: Registry) -> list[diag.Diagnostic]:
     means the registry passes.
     """
     return [
-        diag.Diagnostic(diag.ERROR, code, message)
-        for code, _, message in validation_findings(registry)
+        diag.Diagnostic(diag.ERROR, finding.code, finding.message)
+        for finding in validation_findings(registry)
     ]

@@ -288,6 +288,25 @@ def test_resolution_runs_after_lowering_reports_a_dangling_reference():
     assert sum("Oven" in d.message for d in result.diagnostics) == 1
 
 
+def test_a_reported_name_hides_only_findings_that_reference_it():
+    # 'Oven' is an undeclared part schema, reported once by lowering. The
+    # transitional's determinant 'Oven' is a different fault and still shows.
+    text = (
+        "quality level { low, high }\n"
+        "object Stove { quality level: level  part oven: Oven function \"bake\" }\n"
+        "transitional warm on Stove { create level(bearer, Oven) }\n"
+    )
+    result = compile_sources({"m": text})
+    assert [(d.code, d.span.line, d.message) for d in result.diagnostics] == [
+        ("DanglingReference", 2, "'Oven' is not declared in this module or its imports"),
+        ("DanglingReference", 3, "warm: determinant 'Oven' not in quality 'level' not found"),
+    ]
+
+
+def test_corpus_fingerprint_is_pinned(corpus):
+    assert corpus.registry.fingerprint == "387a3353570b14a8"
+
+
 def test_declaration_dropped_by_the_parser_is_reported_once():
     # The quality's syntax error is its one report: the slot that names it
     # is not also dangling, while an undeclared ontology next to it still is.

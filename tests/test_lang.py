@@ -8,6 +8,7 @@ from xfo.lang import ast
 from xfo.lang.lexer import EOF, IDENT, STRING, tokenize
 
 from conftest import CORPUS_FILES, MODELS_DIR
+from helpers import compile_sources
 
 
 def test_quality_parses_with_three_determinants():
@@ -44,6 +45,29 @@ def test_unterminated_string_reported():
 def test_unexpected_character_reported():
     _, diagnostics = parse_module("quality a { b } %")
     assert any("unexpected character" in d.message for d in diagnostics)
+
+
+def test_end_of_file_after_a_trailing_comment_is_positioned_after_it():
+    _, diagnostics = parse_module("object A {  # open")
+    assert [(d.span.line, d.span.column, d.message) for d in diagnostics] == [
+        (1, 19, "expected '}', found 'end of file'")
+    ]
+
+
+def test_escaped_newline_in_a_string_counts_as_a_line():
+    text = (
+        "quality q { a }\n"
+        "object B { }\n"
+        'object A { part p: B function "x\\\n'
+        'y" }\n'
+        "object C { quality q: nope }\n"
+    )
+    module, diagnostics = parse_module(text)
+    assert diagnostics == []
+    assert module.decls[2].items[0].function == "x\ny"
+    result = compile_sources({"m": text})
+    assert [(d.span.line, d.span.column) for d in result.diagnostics] == [(5, 12)]
+    assert "'nope'" in result.diagnostics[0].message
 
 
 def test_facet_pragma_and_comments():

@@ -482,10 +482,14 @@ INDEX_CASES = {
 def test_index_rejects_exactly_undeclared_predicates_and_matches_scan(case):
     make_schemas, expected = INDEX_CASES[case]
     registry, findings = RegistryBuilder().register_all(make_schemas()).resolve_with_findings()
-    assert findings == [(DANGLING_REFERENCE, owner, message) for owner, message in expected]
+    # Each finding carries the undeclared predicate its message quotes.
+    missing = [message.split("'")[1] for _, message in expected]
+    assert findings == [
+        (DANGLING_REFERENCE, owner, message, name)
+        for (owner, message), name in zip(expected, missing)
+    ]
     if expected:
         # Declaring each missing predicate as a relation makes the set resolve.
-        missing = [message.split("'")[1] for _, message in expected]
         builder = RegistryBuilder().register_all(make_schemas())
         builder.register_all(RelationSchema(name, "Pane", "Pane") for name in missing)
         registry, findings = builder.resolve_with_findings()
