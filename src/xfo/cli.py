@@ -215,9 +215,7 @@ def _parse_field_file(path: str) -> CausalField:
         names = [n.strip() for n in rest.replace(",", " ").split() if n.strip()]
         if keyword == "outcome" and names:
             outcome = names[0]
-        elif keyword == "condition":
-            conditions.extend(names)
-        elif keyword == "conditions":
+        elif keyword in ("condition", "conditions"):
             conditions.extend(names)
         elif keyword == "sufficient":
             if not names:

@@ -1,14 +1,14 @@
-"""Claims backed by evidence, and a brute-force INUS condition checker.
+"""Claims backed by evidence, and an INUS condition checker.
 
 A claim is supported iff at least one evidence entry is validated. Causal
-fields declare their sufficient condition sets outright; the checker decides,
-by exhaustive enumeration, whether a condition is an Insufficient but
-Necessary part of an Unnecessary but Sufficient set.
+fields declare their sufficient condition sets outright; the checker decides
+whether a condition is an Insufficient but Necessary part of an Unnecessary
+but Sufficient set by testing only the subsets that definition names, so its
+cost grows with the declared sets, not with the powerset of conditions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -116,7 +116,7 @@ class InusVerdict:
 
 
 def check_inus(field_: CausalField, condition: str) -> InusVerdict:
-    """Decide the INUS property by exhaustive enumeration over subsets.
+    """Decide the INUS property by testing the subsets the definition names.
 
     True iff some declared sufficient set S contains the condition such that
     (i) the condition alone is insufficient, (ii) S minus the condition is
@@ -129,22 +129,14 @@ def check_inus(field_: CausalField, condition: str) -> InusVerdict:
     if not field_.sufficient:
         raise XfoError("causal field declares no sufficient sets")
 
-    # Sufficiency table over the full powerset: a set is (derived) sufficient
-    # iff it contains some declared sufficient set.
-    universe = tuple(field_.universe)
-    sufficient_table: dict[frozenset[str], bool] = {}
-    for size in range(len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            subset = frozenset(combo)
-            sufficient_table[subset] = any(s <= subset for s in field_.sufficient)
+    def sufficient(conditions: frozenset[str]) -> bool:
+        # A set is (derived) sufficient iff it contains a declared sufficient set.
+        return any(s <= conditions for s in field_.sufficient)
 
-    alone = frozenset({condition})
-    for candidate in field_.sufficient:
-        if condition not in candidate:
-            continue
-        insufficient = not sufficient_table[alone]
-        necessary = not sufficient_table[candidate - {condition}]
-        unnecessary = any(condition not in other for other in field_.sufficient)
-        if insufficient and necessary and unnecessary:
-            return InusVerdict(condition, True, candidate)
+    insufficient = not sufficient(frozenset({condition}))
+    unnecessary = any(condition not in other for other in field_.sufficient)
+    if insufficient and unnecessary:
+        for candidate in field_.sufficient:
+            if condition in candidate and not sufficient(candidate - {condition}):
+                return InusVerdict(condition, True, candidate)
     return InusVerdict(condition, False, None)

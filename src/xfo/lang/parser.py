@@ -52,9 +52,10 @@ class _ParseError(Exception):
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], file: str):
+    def __init__(self, tokens: list[Token], file: str, source: str):
         self.tokens = tokens
         self.file = file
+        self.source = source
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.declaring: str | None = None  # name of the declaration being parsed
@@ -83,7 +84,10 @@ class Parser:
         return _ParseError(message)
 
     def unexpected(self, what: str) -> _ParseError:
-        return self.error(f"expected {what}, found {self.peek().text or 'end of file'!r}")
+        token = self.peek()
+        end = token.offset + token.length
+        found = "end of file" if token.kind == EOF else self.source[token.offset : end]
+        return self.error(f"expected {what}, found {found!r}")
 
     def expect(self, kind: str, what: str) -> Token:
         if self.at(kind):
@@ -453,6 +457,6 @@ def parse_module(
     facet_match = _FACET_RE.search(text)
     facet = facet_match.group(1) if facet_match else None
     tokens, lex_diagnostics = tokenize(text, file)
-    parser = Parser(tokens, file)
+    parser = Parser(tokens, file, text)
     module = parser.parse_module(name, facet)
     return module, lex_diagnostics + parser.diagnostics

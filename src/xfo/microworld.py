@@ -19,7 +19,6 @@ from types import MappingProxyType
 from . import schemas, transitions
 from .errors import (
     DispositionCascadeOverflowError,
-    DuplicateNameError,
     KindMismatchError,
     MissingRequiredDeterminableError,
     NoIndependentContinuantParticipantError,
@@ -198,8 +197,6 @@ class Microworld:
         # Validate the whole unit (parts included) before mutating anything.
         given = dict(determinants or {})
         self._validate_spawn(schema, given)
-        if instance_id is not None and self.store.has_instance(instance_id):
-            raise DuplicateNameError(f"instance id {instance_id!r} already exists")
         tick = self.clock + 1
         new_id = self._spawn_at(schema, given, location, instance_id, tick)
         self.clock = tick
@@ -287,11 +284,10 @@ class Microworld:
     # -- relation edits ---------------------------------------------------------------
 
     def assert_relation(self, subject: str, predicate: str, obj: str) -> bool:
-        if (subject, predicate, obj) in self.store:
-            return False
         tick = self.clock + 1
         added = self.store.assert_relation(subject, predicate, obj, tick)
-        self.clock = tick
+        if added:
+            self.clock = tick
         return added
 
     def retract_relation(self, subject: str, predicate: str, obj: str) -> None:
@@ -424,74 +420,51 @@ class Microworld:
     ) -> None:
         self.rules.append(InteractionRule(tuple(kinds), guard, transitional))
 
-    def _rule_specificity(self, rule: InteractionRule) -> int:
-        return sum(len(self.registry.kinds.path_to_entity(k)) for k in rule.kinds)
-
-    def _rule_candidates(self):
-        """Yield (rule index, participant tuple) pairs whose kinds and guard
-        match, in rule-declaration then instance-id order."""
-        for index, rule in enumerate(self.rules):
-            pools = [self.store.alive_of_kind(kind) for kind in rule.kinds]
-            if any(not pool for pool in pools):
-                continue
-            for combo in itertools.product(*pools):
-                if len(set(combo)) != len(combo):
-                    continue
-                if rule.guard is not None:
-                    bindings = {f"p{i + 1}": inst for i, inst in enumerate(combo)}
-                    if not self.store.matches(rule.guard, bindings=bindings):
-                        continue
-                yield index, combo
-
-    def _rule_bearer(self, rule: InteractionRule, combo: tuple[str, ...]) -> str | None:
-        transitional = self.registry.transitional(rule.transitional)
-        if transitional is None or transitional.bearer_kind is None:
-            return None
-        for instance_id in combo:
-            record = self.store.instance(instance_id)
-            if self.registry.is_subkind(record.schema, transitional.bearer_kind):
-                return instance_id
-        return None
-
-    def _rules_matching(self, combo: tuple[str, ...]) -> list[tuple[int, InteractionRule]]:
-        """Rules whose kind tuple and guard match ``combo``, most specific
-        first, ties broken by declaration order."""
-        matching = []
-        for index, rule in enumerate(self.rules):
-            if len(rule.kinds) != len(combo):
-                continue
-            if not all(
-                self.registry.is_subkind(self.store.instance(inst).schema, kind)
-                for inst, kind in zip(combo, rule.kinds)
-            ):
-                continue
-            if rule.guard is not None:
-                bindings = {f"p{i + 1}": inst for i, inst in enumerate(combo)}
-                if not self.store.matches(rule.guard, bindings=bindings):
-                    continue
-            matching.append((index, rule))
-        matching.sort(key=lambda pair: (-self._rule_specificity(pair[1]), pair[0]))
-        return matching
+    def _guard_holds(self, rule: InteractionRule, participants: tuple[str, ...]) -> bool:
+        if rule.guard is None:
+            return True
+        bindings = {f"p{i}": instance_id for i, instance_id in enumerate(participants, 1)}
+        return self.store.matches(rule.guard, bindings=bindings)
 
     def fire_one_interaction(self):
         """Fire the first applicable interaction rule.
 
-        Participant tuples are visited in rule-declaration then id order; on
-        a given tuple the most specific kind tuple wins, falling back to less
-        specific rules when a realization blocks. Returns the applied
-        transition, or None when nothing can fire."""
+        Participant tuples are visited in rule-declaration then id order, and
+        each tuple is tried once, when the first rule matching it reaches it.
+        A rule declared earlier would have reached the tuple first, so only
+        rules declared later are checked against it. Among the matching rules
+        the most specific kind tuple wins, ties going to declaration order,
+        falling back to less specific rules when a realization blocks.
+        Returns the applied transition, or None when nothing can fire."""
+        registry, store = self.registry, self.store
         attempted: set[tuple[str, ...]] = set()
-        for _, combo in self._rule_candidates():
-            if combo in attempted:
-                continue
-            attempted.add(combo)
-            for _, rule in self._rules_matching(combo):
-                bearer = self._rule_bearer(rule, combo)
-                if bearer is None:
+        for index, rule in enumerate(self.rules):
+            pools = [store.alive_of_kind(kind) for kind in rule.kinds]
+            for combo in itertools.product(*pools):
+                if combo in attempted or len(set(combo)) != len(combo):
                     continue
-                result = self.apply(rule.transitional, bearer)
-                if isinstance(result, transitions.AppliedTransition):
-                    return result
+                if not self._guard_holds(rule, combo):
+                    continue
+                attempted.add(combo)
+                kinds = [store.instance(instance_id).schema for instance_id in combo]
+                matching = [rule] + [
+                    later
+                    for later in self.rules[index + 1:]
+                    if len(later.kinds) == len(combo)
+                    and all(map(registry.is_subkind, kinds, later.kinds))
+                    and self._guard_holds(later, combo)
+                ]
+                matching.sort(key=lambda r: -sum(len(registry.kinds.paths[k]) for k in r.kinds))
+                for candidate in matching:
+                    transitional = registry.transitional(candidate.transitional)
+                    if transitional is None or transitional.bearer_kind is None:
+                        continue
+                    for bearer, kind in zip(combo, kinds):
+                        if registry.is_subkind(kind, transitional.bearer_kind):
+                            result = self.apply(candidate.transitional, bearer)
+                            if isinstance(result, transitions.AppliedTransition):
+                                return result
+                            break
         return None
 
     # -- timeline export --------------------------------------------------------------------------

@@ -6,6 +6,10 @@ stay queryable for the temporal map. The store also owns the instance table
 semantics need all three together. A store belongs to one execution context;
 clones are cheap because triple records are frozen and shared.
 
+The store owns the atomic unit: ``apply_unit`` validates a transitional's
+grounded deletes and creates once, against the post-delete view, and then
+applies them at one tick without checking them again.
+
 Live triples are indexed in two orders, predicate -> subject -> objects and
 predicate -> object -> subjects (the hexastore idea, cut down to the orders
 the engine asks for), so a lookup with a bound subject or object reads only
@@ -15,6 +19,7 @@ its matching slice. The first order also maps each live triple to its record.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from types import MappingProxyType
@@ -199,11 +204,14 @@ class RelationStore:
         obj: str,
         *,
         pending_deletes: frozenset[tuple[str, str, str]] = frozenset(),
+        pending_creates: Sequence[tuple[str, str, str]] = (),
     ) -> None:
         """Raise if asserting (subject, predicate, obj) would be invalid.
 
         ``pending_deletes`` names live triples about to be retracted in the
         same atomic unit; functional-conflict checks ignore them.
+        ``pending_creates`` names the unit's earlier creates: none of them may
+        give a determinable of the subject another value.
         """
         registry = self.registry
         record = self._instances.get(subject)
@@ -229,14 +237,9 @@ class RelationStore:
                     f"object of {predicate!r} must be a live {relation.object_kind} "
                     f"instance, got {obj!r}"
                 )
-            return
-
-        if predicate in BUILTIN_PREDICATES:
+        elif predicate in BUILTIN_PREDICATES:
             self._check_builtin(record, predicate, obj)
-            return
-
-        slot = registry.determinable_slot(record.schema, predicate)
-        if slot is not None:
+        elif slot := registry.determinable_slot(record.schema, predicate):
             ontology = registry.quality(slot.ontology)
             if ontology is None or obj not in ontology.determinants:
                 raise KindMismatchError(
@@ -247,13 +250,16 @@ class RelationStore:
                     raise FunctionalConflictError(
                         f"{subject!r} already has a live {predicate!r} value {other!r}"
                     )
-            return
-
-        if registry.is_determinable(predicate):
+        elif registry.is_determinable(predicate):
             raise KindMismatchError(
                 f"{record.schema!r} does not declare determinable {predicate!r}"
             )
-        raise UndeclaredPredicateError(f"undeclared predicate: {predicate}")
+        else:
+            raise UndeclaredPredicateError(f"undeclared predicate: {predicate}")
+        if any(
+            s == subject and p == predicate and o != obj for s, p, o in pending_creates
+        ) and registry.determinable_slot(record.schema, predicate):
+            raise FunctionalConflictError(f"conflicting creates for functional {predicate!r}")
 
     def _check_builtin(self, record: InstanceRecord, predicate: str, obj: str) -> None:
         registry = self.registry
@@ -295,6 +301,34 @@ class RelationStore:
             raise NoSuchLiveTripleError(f"no live triple {(subject, predicate, obj)!r}")
         self._retract(subject, predicate, obj, tick)
 
+    def apply_unit(
+        self,
+        deletes: tuple[tuple[str, str, str], ...],
+        creates: tuple[tuple[str, str, str], ...],
+        tick: int,
+    ) -> None:
+        """Retract ``deletes`` then assert ``creates``, all at ``tick``, as one unit.
+
+        Edits are distinct (subject, predicate, object) triples. The whole
+        unit is checked against the post-delete view before anything mutates,
+        so a unit that raises leaves the store untouched. A create of a live
+        triple the unit does not delete is a no-op.
+        """
+        for key in deletes:
+            if key not in self:
+                raise NoSuchLiveTripleError(f"delete target not live: {key}")
+        pending = frozenset(deletes)
+        added: list[tuple[str, str, str]] = []
+        for key in creates:
+            if key in self and key not in pending:
+                continue
+            self.check_assert(*key, pending_deletes=pending, pending_creates=added)
+            added.append(key)
+        for key in deletes:
+            self._retract(*key, tick)
+        for subject, predicate, obj in added:
+            self._add(Triple(subject, predicate, obj, tick))
+
     def link_part(self, part: str, whole: str, linkage: str, tick: int) -> None:
         """Attach ``part`` into ``whole`` with the given linkage discipline."""
         if linkage not in (schemas.COMPOSITION, schemas.CONTAINMENT):
@@ -318,8 +352,7 @@ class RelationStore:
         """All bindings making the pattern match a live-at-``at`` triple.
 
         Results are ordered by (subject id, object) so traces reproduce.
-        ``bindings`` pre-binds variables (and resolves constant names that
-        happen to be binding names, for chain conditions).
+        ``bindings`` pre-binds variables; constants are matched as written.
         """
         if not self.registry.predicate_declared(pattern.predicate):
             raise UndeclaredPredicateError(f"undeclared predicate: {pattern.predicate}")
@@ -552,9 +585,6 @@ def _discard(index: dict[str, set[str]], key: str, value: str) -> None:
 
 def _substitute(term: schemas.Term, bindings: dict[str, str]) -> schemas.Term:
     if term.kind == schemas.VAR and term.value in bindings:
-        return schemas.const(bindings[term.value])
-    if term.kind == schemas.CONST and term.value in bindings:
-        # Chain conditions name instances by their binding names.
         return schemas.const(bindings[term.value])
     return term
 

@@ -1,9 +1,9 @@
 """Transitionals as atomic guarded edits, and transition chains.
 
 Guard matching takes the first binding in deterministic query order. An
-application either succeeds as one unit at one tick or blocks with the store
-untouched: edits are validated in full against the post-delete view before
-anything mutates.
+application grounds its edits and hands them to the store, which validates
+and applies them once, as one unit at one tick; an edit the store rejects
+blocks the application with the store untouched.
 """
 
 from __future__ import annotations
@@ -117,58 +117,20 @@ def apply_transitional(
             "guard failed",
         )
 
-    deletes: list[tuple[str, str, str]] = []
-    for pattern in transitional.deletes:
-        ground = _ground(pattern, bindings)
-        if ground not in deletes:
-            deletes.append(ground)
-    creates: list[tuple[str, str, str]] = []
-    for pattern in transitional.creates:
-        ground = _ground(pattern, bindings)
-        if ground not in creates:
-            creates.append(ground)
-
-    # Validate the whole unit before touching the store.
-    for ground in deletes:
-        if ground not in store:
-            return BlockedTransition(
-                transitional.name, bearer, None, f"delete target not live: {ground}"
-            )
-    pending = frozenset(deletes)
-    placed: set[tuple[str, str, str]] = set()
-    for ground in creates:
-        subject, predicate, obj = ground
-        if ground in store and ground not in pending:
-            continue  # identical live triple: create is a no-op
-        try:
-            store.check_assert(subject, predicate, obj, pending_deletes=pending)
-        except XfoError as exc:
-            # Any invalid edit blocks the whole unit before anything mutates.
-            return BlockedTransition(transitional.name, bearer, None, str(exc))
-        for prior in placed:
-            if prior[0] == subject and prior[1] == predicate and prior[2] != obj:
-                if store.registry.determinable_slot(
-                    store.instance(subject).schema, predicate
-                ):
-                    return BlockedTransition(
-                        transitional.name, bearer, None,
-                        f"conflicting creates for functional {predicate!r}",
-                    )
-        placed.add(ground)
-
-    # Deletes first, then creates, all at one tick.
-    for subject, predicate, obj in deletes:
-        store.retract_relation(subject, predicate, obj, tick)
-    for subject, predicate, obj in creates:
-        store.assert_relation(subject, predicate, obj, tick)
+    deletes = tuple(dict.fromkeys(_ground(p, bindings) for p in transitional.deletes))
+    creates = tuple(dict.fromkeys(_ground(p, bindings) for p in transitional.creates))
+    try:
+        store.apply_unit(deletes, creates, tick)
+    except XfoError as exc:
+        return BlockedTransition(transitional.name, bearer, None, str(exc))
 
     return AppliedTransition(
         transitional.name,
         bearer,
         tick,
         tuple(sorted(bindings.items())),
-        tuple(deletes),
-        tuple(creates),
+        deletes,
+        creates,
     )
 
 
@@ -294,13 +256,13 @@ def step_chain(world, instance: ChainInstance) -> ChainInstance:
                 f"transitional {step.transitional!r} blocked: {result.reason}"
             )
     elif isinstance(step, schemas.IfStep):
-        taken = world.store.matches(step.condition, bindings=instance.bindings)
+        taken = _condition_holds(world, instance, step.condition)
         frame.index += 1
         branch = step.then_steps if taken else step.else_steps
         if branch:
             instance.frames.append(Frame(branch))
     elif isinstance(step, schemas.WhileStep):
-        if world.store.matches(step.condition, bindings=instance.bindings):
+        if _condition_holds(world, instance, step.condition):
             count = frame.loop_counts.get(frame.index, 0) + 1
             frame.loop_counts[frame.index] = count
             if count > instance.loop_cap:
@@ -315,6 +277,22 @@ def step_chain(world, instance: ChainInstance) -> ChainInstance:
             frame.loop_counts[frame.index] = 0
             frame.index += 1
     return instance
+
+
+def _condition_holds(world, instance: ChainInstance, condition: schemas.Pattern) -> bool:
+    """Whether an ``if``/``while`` condition matches. Its constants may name
+    chain roles; each such constant stands for the instance bound to it."""
+    roles = instance.bindings
+
+    def resolve(term: schemas.Term) -> schemas.Term:
+        if term.kind == schemas.CONST and term.value in roles:
+            return schemas.const(roles[term.value])
+        return term
+
+    pattern = schemas.Pattern(
+        condition.predicate, resolve(condition.subject), resolve(condition.object)
+    )
+    return world.store.matches(pattern, bindings=roles)
 
 
 # --- thick chain summaries ----------------------------------------------------------

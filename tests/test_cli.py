@@ -186,6 +186,29 @@ def test_inus_subcommand(tmp_path):
     assert out.strip() == "condition=arson inus=false witness=-"
 
 
+def test_inus_field_file_accepts_condition_and_conditions_lines(tmp_path):
+    field = tmp_path / "mixed.field"
+    field.write_text(
+        "outcome fire\n"
+        "condition spark\n"
+        "conditions fuel, arson\n"
+        "sufficient spark fuel\n"
+        "sufficient arson\n"
+    )
+    code, out, _ = invoke(["inus", str(field), "--condition", "fuel"])
+    assert code == 0
+    assert out.strip() == "condition=fuel inus=true witness=fuel+spark"
+
+
+def test_validate_names_an_empty_string_by_its_source_text(tmp_path):
+    model = tmp_path / "empty.xfo"
+    model.write_text('quality "" { a }\n')
+    code, out, err = invoke(["validate", str(model)])
+    assert code == 1
+    assert out == ""
+    assert err == "empty.xfo:1:9: error[SyntaxError]: expected quality name, found '\"\"'\n"
+
+
 def test_inus_bad_field_file(tmp_path):
     field = tmp_path / "broken.field"
     field.write_text("nonsense here\n")

@@ -1,11 +1,12 @@
 import itertools
+import signal
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xfo import CausalField, ClaimLedger, check_inus
+from xfo import CausalField, ClaimLedger, InusVerdict, check_inus
 from xfo.errors import (
     DanglingEvidenceRefError,
     DuplicateNameError,
@@ -196,6 +197,56 @@ def test_random_fields_agree_with_oracle(data):
     field = CausalField("outcome", universe, declared)
     condition = data.draw(st.sampled_from(universe))
     assert check_inus(field, condition).inus == oracle_inus(field, condition)[0]
+
+
+def powerset_inus(field, condition):
+    """The table-based checker: derived sufficiency of every subset of the
+    universe, read at the entries the INUS definition names."""
+    universe = tuple(field.universe)
+    table = {}
+    for size in range(len(universe) + 1):
+        for combo in itertools.combinations(universe, size):
+            subset = frozenset(combo)
+            table[subset] = any(s <= subset for s in field.sufficient)
+    for candidate in field.sufficient:
+        if condition not in candidate:
+            continue
+        insufficient = not table[frozenset({condition})]
+        necessary = not table[candidate - {condition}]
+        unnecessary = any(condition not in other for other in field.sufficient)
+        if insufficient and necessary and unnecessary:
+            return InusVerdict(condition, True, candidate)
+    return InusVerdict(condition, False, None)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_verdicts_and_witnesses_agree_with_the_powerset_table(data):
+    names = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h"])
+    universe = tuple(data.draw(st.lists(names, min_size=1, max_size=8, unique=True)))
+    subsets = st.frozensets(st.sampled_from(universe), min_size=1, max_size=len(universe))
+    declared = tuple(data.draw(st.lists(subsets, min_size=1, max_size=5)))
+    field = CausalField("outcome", universe, declared)
+    condition = data.draw(st.sampled_from(universe))
+    assert check_inus(field, condition) == powerset_inus(field, condition)
+
+
+def test_forty_conditions_decide_within_a_second():
+    universe = tuple(f"c{i}" for i in range(40))
+    field = CausalField("outcome", universe,
+                        (frozenset(universe[:20]), frozenset(universe[20:])))
+
+    def too_slow(signum, frame):
+        raise TimeoutError("check_inus took over 1 s on 40 conditions")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        verdict = check_inus(field, "c0")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert verdict == InusVerdict("c0", True, frozenset(universe[:20]))
 
 
 def test_alternative_addition_keeps_witness_valid():

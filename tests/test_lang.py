@@ -54,6 +54,16 @@ def test_end_of_file_after_a_trailing_comment_is_positioned_after_it():
     ]
 
 
+def test_a_string_token_is_named_by_its_source_text_not_as_end_of_file():
+    _, diagnostics = parse_module('quality "" { a }')
+    assert [d.message for d in diagnostics] == ["expected quality name, found '\"\"'"]
+    _, diagnostics = parse_module('quality "a\\"b" { a }\nobject')
+    assert [d.message for d in diagnostics] == [
+        "expected quality name, found '\"a\\\\\"b\"'",
+        "expected object name after 'object', found 'end of file'",
+    ]
+
+
 def test_escaped_newline_in_a_string_counts_as_a_line():
     text = (
         "quality q { a }\n"

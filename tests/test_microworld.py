@@ -62,6 +62,17 @@ def test_spawn_duplicate_id(corpus):
         world.spawn("Kiln", instance_id="k")
 
 
+def test_duplicate_spawn_leaves_world_untouched(corpus):
+    # The store's instance table rejects the id before anything is written.
+    world = Microworld(corpus.registry)
+    world.spawn("Clock", {"tension": "wound"}, instance_id="c")
+    before = world.fingerprint()
+    with pytest.raises(DuplicateNameError):
+        world.spawn("Clock", {"tension": "wound"}, instance_id="c")
+    assert world.fingerprint() == before
+    assert world.spawn("Clock", {"tension": "wound"}) == "clock-1"
+
+
 def test_failed_spawn_leaves_world_untouched(corpus):
     world = Microworld(corpus.registry)
     clock_before = world.clock

@@ -368,3 +368,44 @@ def test_run_blocked_transitional_status(corpus):
     chain = instantiate_chain(world, "cycle", {"light": "light"})
     outcome = run(world, chain, max_ticks=10)
     assert outcome.status == "aborted"
+
+
+def test_guard_constant_named_like_a_bound_variable_is_matched_as_written():
+    # ?red binds "red" = "green"; the constant red in the next guard must not
+    # be read as that variable.
+    result = compile_ok({"m": """
+quality hue { red, green }
+object Light { quality color: hue required }
+transitional go on Light {
+  require color(bearer, ?red)
+  require color(bearer, red)
+  delete color(bearer, ?red)
+  create color(bearer, green)
+}
+"""})
+    world = Microworld(result.registry)
+    light = world.spawn("Light", {"color": "green"})
+    before = world.fingerprint()
+    blocked = world.apply("go", light)
+    assert isinstance(blocked, BlockedTransition)
+    assert blocked.failed_guard == Pattern("color", var("bearer"), const("red"))
+    assert world.fingerprint() == before
+
+
+def test_chain_condition_constant_names_a_role():
+    # ``if``/``while`` conditions name instances by their role names.
+    result = compile_ok({"m": """
+quality hue { red, green }
+object Light { quality color: hue required }
+transitional go on Light {
+  require color(bearer, red)
+  delete color(bearer, red)
+  create color(bearer, green)
+}
+chain procedure maybe { if color(lamp, red) { do go } }
+"""})
+    world = Microworld(result.registry)
+    world.spawn("Light", {"color": "red"}, instance_id="l-1")
+    chain = instantiate_chain(world, "maybe", {"lamp": "l-1"})
+    outcome = run(world, chain)
+    assert [a.transitional for a in outcome.applied] == ["go"]
