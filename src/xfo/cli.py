@@ -60,6 +60,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_arg_parser()  # built once per process; parse_args leaves it unchanged
+
+
 def _load(paths: list[str]):
     modules = []
     for raw in paths:
@@ -268,9 +271,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -224,7 +224,11 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
         register = lowering.register
         for decl in module.decls:
             if isinstance(decl, ast.QualityNode):
-                register(schemas.QualityOntology(decl.name, decl.determinants), decl.span)
+                determinants = tuple(dict.fromkeys(decl.determinants))
+                if len(determinants) < len(decl.determinants):
+                    message = f"quality {decl.name!r} repeats a determinant"
+                    lowering.error(DUPLICATE_NAME, message, decl.span)
+                register(schemas.QualityOntology(decl.name, determinants), decl.span)
             elif isinstance(decl, ast.ObjectNode):
                 _lower_object(decl, lowering)
             elif isinstance(decl, ast.AggregateNode):

@@ -4,6 +4,8 @@ the unified temporal map, disposition firing, and interaction-rule dispatch.
 One microworld is one execution context. Time is a logical tick counter:
 every applied unit (a spawn with its parts, one transitional, one process
 boundary) advances the clock by one, and all edits of a unit share its tick.
+The store checks each unit whole before writing it, so a unit that raises
+or blocks leaves the store, the clock and the timeline as they were.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from . import schemas, transitions
 from .errors import (
     DispositionCascadeOverflowError,
     KindMismatchError,
-    MissingRequiredDeterminableError,
     NoIndependentContinuantParticipantError,
     NoOpenIntervalError,
     SnapshotVersionMismatchError,
-    UnknownDeterminantError,
     XfoError,
 )
 from .fingerprint import streamed_fingerprint
@@ -188,78 +188,22 @@ class Microworld:
         instance_id: str | None = None,
     ) -> str:
         """Create an alive instance with its quality triples and (recursively)
-        its declared parts, all as one unit at one tick."""
+        its declared parts, all as one unit at one tick. The store checks the
+        whole unit before it writes any of it."""
         schema = self.registry.object_schema(schema_name)
         if schema is None:
             raise KindMismatchError(f"{schema_name!r} is not a spawnable object schema")
         if not self.registry.is_independent_continuant_kind(schema_name):
             raise KindMismatchError(f"{schema_name!r} is not an Independent Continuant")
-        # Validate the whole unit (parts included) before mutating anything.
-        given = dict(determinants or {})
-        self._validate_spawn(schema, given)
+        given = determinants or {}
         tick = self.clock + 1
-        new_id = self._spawn_at(schema, given, location, instance_id, tick)
+        records = self.store.spawn(schema, given, location, instance_id, tick, self.new_id)
         self.clock = tick
-        return new_id
-
-    def _validate_spawn(self, schema: schemas.ThickObjectSchema,
-                        determinants: dict[str, str]) -> None:
-        for det in determinants:
-            if schema.quality_slot(det) is None:
-                raise UnknownDeterminantError(
-                    f"{schema.name!r} declares no determinable {det!r}"
-                )
-        for slot in schema.qualities:
-            if slot.required and slot.determinable not in determinants:
-                raise MissingRequiredDeterminableError(
-                    f"spawn of {schema.name!r} misses required determinable "
-                    f"{slot.determinable!r}"
-                )
-            value = determinants.get(slot.determinable)
-            if value is not None:
-                ontology = self.registry.quality(slot.ontology)
-                if ontology is None or value not in ontology.determinants:
-                    raise UnknownDeterminantError(
-                        f"{value!r} is not a determinant of quality {slot.ontology!r}"
-                    )
-        for part in schema.parts:
-            part_schema = self.registry.object_schema(part.schema)
-            self._validate_spawn(part_schema, {})
-
-    def _spawn_at(
-        self,
-        schema: schemas.ThickObjectSchema,
-        determinants: dict[str, str],
-        location: str | None,
-        instance_id: str | None,
-        tick: int,
-    ) -> str:
-        new_id = instance_id or self.new_id(schema.name)
-        self.store.register_instance(new_id, schema.name, tick)
-        for slot in schema.qualities:
-            value = determinants.get(slot.determinable)
-            if value is not None:
-                self.store.assert_relation(new_id, slot.determinable, value, tick)
-        if location is not None:
-            self.store.assert_relation(new_id, "located_in", location, tick)
-        self._record(
-            TimelineEvent(
-                tick,
-                SPAWN,
-                schema.name,
-                (new_id,),
-                (
-                    ("qualities", tuple(sorted(determinants.items()))),
-                    ("location", location),
-                ),
-            )
-        )
-        # Parts are integral to a thick object: spawn them in the same unit.
-        for part in schema.parts:
-            part_schema = self.registry.object_schema(part.schema)
-            part_id = self._spawn_at(part_schema, {}, None, f"{new_id}.{part.slot}", tick)
-            self.store.link_part(part_id, new_id, part.linkage, tick)
-        return new_id
+        edits = (("qualities", tuple(sorted(given.items()))), ("location", location))
+        for record in records:  # the root, then its parts, which have neither
+            self._record(TimelineEvent(tick, SPAWN, record.schema, (record.id,), edits))
+            edits = (("qualities", ()), ("location", None))
+        return records[0].id
 
     def instantiate_aggregate(
         self, schema_name: str, member_id: str, slot: str, *, instance_id: str | None = None

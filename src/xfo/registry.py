@@ -52,6 +52,7 @@ class Finding(NamedTuple):
 
 # Typed errors ``RegistryBuilder.resolve`` raises for API callers.
 _RESOLVE_ERRORS = {
+    diag.DUPLICATE_NAME: DuplicateNameError,
     diag.INHERITANCE_CYCLE: InheritanceCycleError,
     diag.UNBOUND_VARIABLE: UnboundVariableError,
     diag.INVALID_CHAIN: InvalidChainError,
@@ -253,9 +254,9 @@ class RegistryBuilder:
         For API callers: raises the typed error of the first finding of
         ``resolve_with_findings`` (InheritanceCycleError,
         DanglingReferenceError carrying every dangling reference,
-        UnboundVariableError, InvalidChainError, RecursiveAggregateError or
-        RecursiveCompositionError). Deterministic: the same definitions
-        always produce the same fingerprint.
+        UnboundVariableError, InvalidChainError, RecursiveAggregateError,
+        RecursiveCompositionError or DuplicateNameError). Deterministic: the
+        same definitions always produce the same fingerprint.
         """
         registry, findings = self.resolve_with_findings()
         if registry is not None:
@@ -288,6 +289,7 @@ class RegistryBuilder:
         self._check_chain_bodies(index, findings)
         self._check_aggregate_recursion(index, findings)
         self._check_part_recursion(index, findings)
+        self._check_predicate_names(index, findings)
         if findings:
             return None, findings
         kind_table = self._build_kind_table(index)
@@ -458,6 +460,20 @@ class RegistryBuilder:
         # Part slots auto-instantiate on spawn, so the part graph must be a DAG.
         edges = {name: [p.schema for p in schema.parts] for name, schema in index.objects.items()}
         self._reject_cycles(edges, diag.RECURSIVE_COMPOSITION, "part", findings)
+
+    def _check_predicate_names(self, index: SchemaIndex, findings: list[Finding]) -> None:
+        # A predicate names one thing: a relation, a quality slot or a built-in.
+        for name in index.relations:
+            if name in BUILTIN_PREDICATES or name in index.declarers:
+                what = "a built-in predicate" if name in BUILTIN_PREDICATES else "a quality slot"
+                message = f"relation {name!r} is also {what}"
+                findings.append(Finding(diag.DUPLICATE_NAME, name, message))
+        for determinable, owners in index.declarers.items():
+            if determinable in BUILTIN_PREDICATES:
+                findings.extend(Finding(
+                    diag.DUPLICATE_NAME, owner,
+                    f"quality slot {determinable!r} of {owner!r} is a built-in predicate",
+                ) for owner in owners)
 
     @staticmethod
     def _reject_cycles(edges: dict, code: str, label: str, findings: list[Finding]) -> None:

@@ -6,9 +6,11 @@ stay queryable for the temporal map. The store also owns the instance table
 semantics need all three together. A store belongs to one execution context;
 clones are cheap because triple records are frozen and shared.
 
-The store owns the atomic unit: ``apply_unit`` validates a transitional's
-grounded deletes and creates once, against the post-delete view, and then
-applies them at one tick without checking them again.
+The store owns every world unit: it checks all a unit will write, once,
+before it writes any of it, so a unit that raises leaves the store as it was.
+``spawn`` checks a whole part tree in one walk; ``apply_unit`` checks a
+transitional's or an aggregate binding's deletes and creates against the
+post-delete view. Neither checks its writes again.
 
 Live triples are indexed in two orders, predicate -> subject -> objects and
 predicate -> object -> subjects (the hexastore idea, cut down to the orders
@@ -19,7 +21,7 @@ its matching slice. The first order also maps each live triple to its record.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from types import MappingProxyType
@@ -30,10 +32,12 @@ from .errors import (
     DuplicateNameError,
     FunctionalConflictError,
     KindMismatchError,
+    MissingRequiredDeterminableError,
     NoSuchLiveTripleError,
     SlotTypeMismatchError,
     SubjectDestroyedError,
     UndeclaredPredicateError,
+    UnknownDeterminantError,
     UnknownInstanceError,
 )
 from .fingerprint import streamed_fingerprint
@@ -250,16 +254,14 @@ class RelationStore:
                     raise FunctionalConflictError(
                         f"{subject!r} already has a live {predicate!r} value {other!r}"
                     )
+            if any(s == subject and p == predicate and o != obj for s, p, o in pending_creates):
+                raise FunctionalConflictError(f"conflicting creates for functional {predicate!r}")
         elif registry.is_determinable(predicate):
             raise KindMismatchError(
                 f"{record.schema!r} does not declare determinable {predicate!r}"
             )
         else:
             raise UndeclaredPredicateError(f"undeclared predicate: {predicate}")
-        if any(
-            s == subject and p == predicate and o != obj for s, p, o in pending_creates
-        ) and registry.determinable_slot(record.schema, predicate):
-            raise FunctionalConflictError(f"conflicting creates for functional {predicate!r}")
 
     def _check_builtin(self, record: InstanceRecord, predicate: str, obj: str) -> None:
         registry = self.registry
@@ -304,7 +306,7 @@ class RelationStore:
     def apply_unit(
         self,
         deletes: tuple[tuple[str, str, str], ...],
-        creates: tuple[tuple[str, str, str], ...],
+        creates: Sequence[tuple[str, str, str]],
         tick: int,
     ) -> None:
         """Retract ``deletes`` then assert ``creates``, all at ``tick``, as one unit.
@@ -314,6 +316,15 @@ class RelationStore:
         so a unit that raises leaves the store untouched. A create of a live
         triple the unit does not delete is a no-op.
         """
+        added = self._check_unit(deletes, creates)
+        for key in deletes:
+            self._retract(*key, tick)
+        for subject, predicate, obj in added:
+            self._add(Triple(subject, predicate, obj, tick))
+
+    def _check_unit(self, deletes: Sequence[tuple[str, str, str]],
+                    creates: Sequence[tuple[str, str, str]]) -> list[tuple[str, str, str]]:
+        """Raise unless the unit is valid; return the creates it adds."""
         for key in deletes:
             if key not in self:
                 raise NoSuchLiveTripleError(f"delete target not live: {key}")
@@ -324,10 +335,67 @@ class RelationStore:
                 continue
             self.check_assert(*key, pending_deletes=pending, pending_creates=added)
             added.append(key)
-        for key in deletes:
-            self._retract(*key, tick)
-        for subject, predicate, obj in added:
-            self._add(Triple(subject, predicate, obj, tick))
+        return added
+
+    def spawn(self, schema: schemas.ThickObjectSchema, determinants: dict[str, str],
+              location: str | None, instance_id: str | None, tick: int,
+              draw_id: Callable[[str], str]) -> list[InstanceRecord]:
+        """Create an instance, its qualities, its location and its part tree
+        (part ``slot`` of ``x`` is ``x.slot``) as one unit at ``tick``. The
+        tree is checked, ``draw_id`` names the root unless ``instance_id``
+        does, and every id must be free and distinct before anything is
+        written. Returns the new records in spawn order, root first."""
+        nodes, links = [], []
+        qualities = self._plan_spawn(schema, determinants, "", nodes, links)
+        root = instance_id or draw_id(schema.name)
+        fresh: dict[str, InstanceRecord] = {}
+        for suffix, name in nodes:
+            new_id = root + suffix
+            if new_id in self._instances or new_id in fresh:
+                raise DuplicateNameError(f"instance id {new_id!r} already exists")
+            fresh[new_id] = InstanceRecord(new_id, name, tick)
+        self._instances.update(fresh)
+        for record in fresh.values():
+            self._alive.setdefault(record.schema, set()).add(record.id)
+        for determinable, value in qualities.items():
+            self._add(Triple(root, determinable, value, tick))
+        if location is not None:
+            self._add(Triple(root, "located_in", location, tick))
+        for part, whole, linkage in links:
+            self._add(Triple(root + part, PART_OF, root + whole, tick))
+            self._link_meta[(root + part, root + whole)] = linkage
+        return list(fresh.values())
+
+    def _plan_spawn(self, schema: schemas.ThickObjectSchema, determinants: dict[str, str],
+                    suffix: str, nodes: list, links: list) -> dict[str, str]:
+        """Check one instance of a spawn and, recursively, its parts: adds
+        (id suffix, schema) to ``nodes`` in preorder and (part, whole, linkage)
+        suffixes to ``links`` in postorder. Returns its values in slot order."""
+        for det in determinants:
+            if schema.quality_slot(det) is None:
+                raise UnknownDeterminantError(f"{schema.name!r} declares no determinable {det!r}")
+        qualities: dict[str, str] = {}
+        for slot in schema.qualities:
+            if slot.required and slot.determinable not in determinants:
+                raise MissingRequiredDeterminableError(
+                    f"spawn of {schema.name!r} misses required determinable {slot.determinable!r}"
+                )
+            value = determinants.get(slot.determinable)
+            if value is not None:
+                ontology = self.registry.quality(slot.ontology)
+                if ontology is None or value not in ontology.determinants:
+                    raise UnknownDeterminantError(
+                        f"{value!r} is not a determinant of quality {slot.ontology!r}"
+                    )
+                qualities[slot.determinable] = value
+        nodes.append((suffix, schema.name))
+        for part in schema.parts:
+            if part.linkage not in (schemas.COMPOSITION, schemas.CONTAINMENT):
+                raise KindMismatchError(f"unknown linkage: {part.linkage}")
+            path = f"{suffix}.{part.slot}"
+            self._plan_spawn(self.registry.object_schema(part.schema), {}, path, nodes, links)
+            links.append((path, suffix, part.linkage))
+        return qualities
 
     def link_part(self, part: str, whole: str, linkage: str, tick: int) -> None:
         """Attach ``part`` into ``whole`` with the given linkage discipline."""
@@ -421,6 +489,35 @@ class RelationStore:
         The named slot is bound; every other slot is typed but unbound.
         Declared link relations are asserted as slots pair up.
         """
+        slots: dict[str, str | None] = dict.fromkeys(m.slot for m in aggregate.members)
+        member_of, *links = self._member_unit(aggregate, slots, slot, member_id, instance_id)
+        # Checked before the aggregate exists; member_of joins it to a member checked live.
+        links = self._check_unit((), links)
+        slots[slot] = member_id
+        self.register_instance(instance_id, aggregate.name, tick, slots=slots)
+        for subject, predicate, obj in (member_of, *links):
+            self._add(Triple(subject, predicate, obj, tick))
+        self._slot_refs.setdefault(member_id, set()).add(instance_id)
+        return self.aggregate_view(instance_id)
+
+    def bind_member(self, instance_id: str, slot: str, member_id: str, tick: int) -> None:
+        record = self.instance(instance_id)
+        aggregate = self.registry.aggregate(record.schema)
+        if aggregate is None or record.slots is None:
+            raise SlotTypeMismatchError(f"{instance_id!r} is not an aggregate instance")
+        creates = self._member_unit(aggregate, record.slots, slot, member_id, instance_id)
+        self.apply_unit((), creates, tick)
+        previous = record.slots[slot]
+        record.slots[slot] = member_id
+        self._slot_refs.setdefault(member_id, set()).add(instance_id)
+        if previous is not None and previous not in record.slots.values():
+            _discard(self._slot_refs, previous, instance_id)
+
+    def _member_unit(self, aggregate: schemas.AggregateSchema, slots: dict[str, str | None],
+                     slot: str, member_id: str, instance_id: str) -> list[tuple[str, str, str]]:
+        """Check that ``member_id`` may fill ``slot``: the slot is declared and
+        the member is a live instance of its kind. Returns the binding's
+        creates: ``member_of``, then each link the filled slot completes."""
         declared = aggregate.member(slot)
         if declared is None:
             raise SlotTypeMismatchError(f"{aggregate.name!r} has no slot {slot!r}")
@@ -430,53 +527,15 @@ class RelationStore:
                 f"{member_id!r} is a {member.schema}, not a {declared.schema}: "
                 f"cannot fill slot {slot!r}"
             )
-        # Checked before the aggregate exists, so a rejected member leaves no instance.
         if not member.alive:
             raise SubjectDestroyedError(f"subject {member_id!r} is destroyed")
-        slots: dict[str, str | None] = {m.slot: None for m in aggregate.members}
-        self.register_instance(instance_id, aggregate.name, tick, slots=slots)
-        self._bind(aggregate, instance_id, slot, member_id, tick)
-        return self.aggregate_view(instance_id)
-
-    def bind_member(self, instance_id: str, slot: str, member_id: str, tick: int) -> None:
-        record = self.instance(instance_id)
-        aggregate = self.registry.aggregate(record.schema)
-        if aggregate is None or record.slots is None:
-            raise SlotTypeMismatchError(f"{instance_id!r} is not an aggregate instance")
-        declared = aggregate.member(slot)
-        if declared is None:
-            raise SlotTypeMismatchError(f"{aggregate.name!r} has no slot {slot!r}")
-        member = self.instance(member_id)
-        if not self.registry.is_subkind(member.schema, declared.schema):
-            raise SlotTypeMismatchError(
-                f"{member_id!r} is a {member.schema}, not a {declared.schema}"
-            )
-        self._bind(aggregate, instance_id, slot, member_id, tick)
-
-    def _bind(
-        self,
-        aggregate: schemas.AggregateSchema,
-        instance_id: str,
-        slot: str,
-        member_id: str,
-        tick: int,
-    ) -> None:
-        record = self.instance(instance_id)
-        assert record.slots is not None
-        self.assert_relation(member_id, MEMBER_OF, instance_id, tick)
-        previous = record.slots[slot]
-        record.slots[slot] = member_id
-        self._slot_refs.setdefault(member_id, set()).add(instance_id)
-        if previous is not None and previous not in record.slots.values():
-            _discard(self._slot_refs, previous, instance_id)
+        filled = {**slots, slot: member_id}
+        creates = [(member_id, MEMBER_OF, instance_id)]
         for link in aggregate.links:
-            subject = record.slots.get(link.subject_slot)
-            obj = record.slots.get(link.object_slot)
-            if subject is not None and obj is not None and slot in (
-                link.subject_slot,
-                link.object_slot,
-            ):
-                self.assert_relation(subject, link.relation, obj, tick)
+            subject, obj = filled.get(link.subject_slot), filled.get(link.object_slot)
+            if slot in (link.subject_slot, link.object_slot) and None not in (subject, obj):
+                creates.append((subject, link.relation, obj))
+        return list(dict.fromkeys(creates))
 
     def aggregate_view(self, instance_id: str) -> AggregateInstance:
         record = self.instance(instance_id)

@@ -209,6 +209,17 @@ def test_validate_names_an_empty_string_by_its_source_text(tmp_path):
     assert err == "empty.xfo:1:9: error[SyntaxError]: expected quality name, found '\"\"'\n"
 
 
+def test_validate_reports_a_repeated_determinant_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "dup.xfo"
+    path.write_text("quality hue { a, a }\n")
+    code, out, err = invoke(["validate", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "dup.xfo:1:1: error[DuplicateName]: quality 'hue' repeats a determinant\n"
+    # The parser is built once and reused: a second call gives the same result.
+    assert invoke(["validate", str(path)]) == (code, out, err)
+    assert invoke(["compile"])[0] == 2
+
+
 def test_inus_bad_field_file(tmp_path):
     field = tmp_path / "broken.field"
     field.write_text("nonsense here\n")

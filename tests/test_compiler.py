@@ -331,3 +331,37 @@ def test_declaration_dropped_by_the_parser_is_reported_once():
     ]
     assert "'size'" in result.diagnostics[1].message
     assert not result.ok
+
+
+def test_a_predicate_name_means_one_thing():
+    # A relation may not share its name with a quality slot or a built-in
+    # predicate, nor a quality slot with a built-in; each clash is reported
+    # once, at the declaration that makes it.
+    cases = {
+        "quality hue { green, red }\nobject Lamp { quality color: hue required }\n"
+        "relation color(Lamp, Lamp)\n": (3, "relation 'color' is also a quality slot"),
+        "object Box { }\nrelation part_of(Box, Box)\n": (
+            2, "relation 'part_of' is also a built-in predicate"
+        ),
+        "quality place { here }\nobject Box { quality located_in: place }\n": (
+            2, "quality slot 'located_in' of 'Box' is a built-in predicate"
+        ),
+    }
+    for source, (line, message) in cases.items():
+        result = compile_sources({"m": source})
+        assert [(d.code, d.span.line, d.message) for d in result.diagnostics] == [
+            ("DuplicateName", line, message)
+        ]
+        assert not result.ok
+    # A quality ontology may share its name with the slot that uses it.
+    compile_ok({"m": "quality hue { red }\nobject Lamp { quality hue: hue }\n"})
+
+
+def test_repeated_determinant_is_one_diagnostic():
+    result = compile_sources(
+        {"m": "quality hue { a, a }\nobject Lamp { quality hue: hue required }\n"}
+    )
+    assert [(d.code, d.span.line, d.span.column, d.message) for d in result.diagnostics] == [
+        ("DuplicateName", 1, 1, "quality 'hue' repeats a determinant")
+    ]
+    assert not result.ok

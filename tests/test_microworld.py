@@ -83,6 +83,17 @@ def test_failed_spawn_leaves_world_untouched(corpus):
     assert world.store.instances() == ()
 
 
+def test_spawn_with_a_taken_part_id_leaves_world_untouched(corpus):
+    # The part ids of the whole tree are checked before the root is written.
+    world = Microworld(corpus.registry)
+    world.spawn("Gear", instance_id="c.main_gear")
+    before = (world.fingerprint(), world.clock, len(world.events))
+    with pytest.raises(DuplicateNameError, match="'c.main_gear' already exists"):
+        world.spawn("Clock", {"tension": "wound"}, instance_id="c")
+    assert (world.fingerprint(), world.clock, len(world.events)) == before
+    assert not world.store.has_instance("c")
+
+
 def test_gangjin_region_and_political_entity_pair(corpus):
     world = world_from(corpus, "gangjin")
     region = world.store.instance("county_region")

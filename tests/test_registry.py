@@ -52,6 +52,16 @@ def test_register_traffic_light():
     assert "TrafficLight" in builder
 
 
+def test_resolve_rejects_a_relation_named_like_a_quality_slot():
+    builder = RegistryBuilder().register_all([
+        QualityOntology("hue", ("red", "green")),
+        ThickObjectSchema("Lamp", qualities=(QualitySlot("color", "hue"),)),
+        RelationSchema("color", "Lamp", "Lamp"),
+    ])
+    with pytest.raises(DuplicateNameError, match="relation 'color' is also a quality slot"):
+        builder.resolve()
+
+
 def test_duplicate_name_rejected():
     builder = RegistryBuilder()
     builder.register(light_schema())

@@ -410,6 +410,32 @@ def test_destroyed_entry_member_leaves_no_aggregate():
     assert len(world.events) == events
 
 
+GUILD = """
+object Person { }
+object Master : Person { }
+relation trains(Master, Person)
+aggregate Guild {
+  member lead: Person
+  member aide: Person
+  link trains(lead, aide)
+}
+"""
+
+
+def test_rejected_binding_link_leaves_world_untouched():
+    # member_of and the link the slot completes are one unit, checked whole.
+    world = Microworld(compile_ok({"guild": GUILD}).registry)
+    world.spawn("Person", instance_id="a")
+    world.spawn("Person", instance_id="b")
+    world.instantiate_aggregate("Guild", "b", "aide", instance_id="g")
+    before = (world.fingerprint(), world.clock, len(world.events))
+    with pytest.raises(KindMismatchError, match="not a Master"):
+        world.bind_member("g", "lead", "a")
+    assert (world.fingerprint(), world.clock, len(world.events)) == before
+    assert ("a", "member_of", "g") not in world.store
+    assert dict(world.store.aggregate_view("g").slots) == {"aide": "b", "lead": None}
+
+
 def test_located_in_still_accepts_opaque_values(corpus):
     world = world_from(corpus, "crash_test")
     world.destroy("hammer")

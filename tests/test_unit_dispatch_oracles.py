@@ -20,7 +20,6 @@ from xfo.errors import BearerKindMismatchError, DestroyedBearerError, XfoError
 from xfo.microworld import Microworld, run
 from xfo.schemas import Edit, Pattern, TransitionalSchema, const, var
 
-# ``tint`` is both a declared relation and a quality-slot determinable of Lamp.
 UNIT_MODEL = """
 quality hue { red, green, blue }
 object Lamp {
@@ -29,7 +28,7 @@ object Lamp {
   quality tint: hue
 }
 object Rock { }
-relation tint(Lamp, Lamp)
+relation facing(Lamp, Lamp)
 relation near(Lamp, Rock)
 """
 
@@ -153,15 +152,15 @@ def oracle_apply_transitional(store, transitional, bearer, tick):
 
 SUBJECTS = (var("bearer"), const("l1"), const("l2"), const("r1"), const("dead"),
             const("ghost"))
-PREDICATES = ("color", "shade", "tint", "near", "located_in", "part_of", "member_of",
+PREDICATES = ("color", "shade", "tint", "facing", "near", "located_in", "part_of", "member_of",
               "has_role", "undeclared")
 OBJECTS = (const("red"), const("green"), const("blue"), const("l1"), const("l2"),
            const("r1"), const("dead"), const("ghost"), var("x"))
 HUES = (const("red"), const("green"), const("blue"))
 LAMPS = (const("l1"), const("l2"))
 SEED_TRIPLES = (
-    ("l1", "shade", "blue"), ("l2", "shade", "red"), ("l1", "tint", "l2"),
-    ("l2", "tint", "l1"), ("l1", "near", "r1"), ("l2", "near", "r1"),
+    ("l1", "shade", "blue"), ("l2", "shade", "red"), ("l1", "facing", "l2"),
+    ("l2", "facing", "l1"), ("l1", "near", "r1"), ("l2", "near", "r1"),
     ("l1", "located_in", "garage"), ("r1", "part_of", "l1"),
 )
 
@@ -178,10 +177,10 @@ COLOR_X = _p("color", "?bearer", "?x")
 # Mostly edits that can apply (on the bearer, a seeded triple, a valid value),
 # so units also reach the no-op, re-create and conflicting-create cases.
 likely = st.sampled_from((
-    COLOR_X, _p("shade", "l1", "blue"), _p("tint", "l1", "l2"), _p("near", "l1", "r1"),
+    COLOR_X, _p("shade", "l1", "blue"), _p("facing", "l1", "l2"), _p("near", "l1", "r1"),
     _p("located_in", "l1", "garage"), _p("part_of", "r1", "l1"),
 )) | st.builds(
-    Pattern, st.sampled_from(("color", "shade", "tint")), st.just(var("bearer")),
+    Pattern, st.sampled_from(("color", "shade", "tint", "facing")), st.just(var("bearer")),
     st.sampled_from((const("red"), const("green"), const("l1"), const("l2"), var("x"))),
 )
 patterns = likely | likely | likely | st.builds(
@@ -197,7 +196,9 @@ def units(draw):
     creates = draw(st.lists(patterns, min_size=1, max_size=3))
     if draw(st.booleans()):
         first = draw(st.sampled_from(creates))
-        values = {"color": HUES, "shade": HUES, "tint": LAMPS}.get(first.predicate, OBJECTS)
+        values = {"color": HUES, "shade": HUES, "tint": HUES, "facing": LAMPS}.get(
+            first.predicate, OBJECTS
+        )
         other = draw(st.sampled_from(values))
         creates.insert(draw(st.integers(0, len(creates))),
                        Pattern(first.predicate, first.subject, other))
@@ -220,8 +221,6 @@ def unit_world(colors, seeded):
          ([COLOR_X], [_p("color", "?bearer", "green"), _p("color", "?bearer", "blue")]), "l1")
 @example(["red", None, None], set(), True,  # the unit re-creates what it deletes
          ([COLOR_X], [_p("shade", "l1", "blue"), COLOR_X]), "l1")
-@example(["red", None, None], set(), False,  # a no-op create, then a second tint
-         ([], [_p("tint", "l1", "l2"), _p("tint", "?bearer", "l1")]), "l1")
 @example(["red", None, "red"], set(), False,  # a delete of a destroyed subject's triple
          ([_p("color", "dead", "red")], [_p("shade", "?bearer", "red")]), "l2")
 @given(
@@ -246,16 +245,6 @@ def test_unit_matches_caller_side_validation(colors, unseeded, guarded, unit, be
 
     assert got == want
     assert world.store.fingerprint() == oracle.store.fingerprint()
-
-
-def test_conflicting_creates_on_a_relation_that_is_also_a_determinable():
-    world = unit_world(("red", "green", None), ())
-    creates = (_p("tint", "?bearer", "l2"), _p("tint", "?bearer", "l1"))
-    unit = TransitionalSchema("unit", "Lamp", (), tuple(Edit("create", p) for p in creates))
-    before = world.store.fingerprint()
-    result = transitions.apply_transitional(world.store, unit, "l1", world.clock + 1)
-    assert result.reason == "conflicting creates for functional 'tint'"
-    assert world.store.fingerprint() == before
 
 
 # --- the dispatch oracle -------------------------------------------------------------
