@@ -59,18 +59,6 @@ def _levels(registry: Registry, space: StateSpace) -> list[tuple[str, str, tuple
     return levels
 
 
-def _final_state(
-    world: Microworld, chain_name: str, bindings: dict[str, str], loop_cap: int
-) -> frozenset[tuple[str, str, str]]:
-    instance = transitions.instantiate_chain(world, chain_name, bindings, loop_cap=loop_cap)
-    run(world, instance, max_ticks=10**9)
-    if instance.abort_reason and instance.abort_reason.startswith(
-        transitions.LOOP_CAP_REASON
-    ):
-        raise NonterminatingChainError(instance.abort_reason)
-    return world.store.live_set()
-
-
 def check_equivalence(
     registry: Registry,
     chain_a: str,
@@ -88,9 +76,12 @@ def check_equivalence(
     exceeds ``state_bound`` and NonterminatingChain when a run hits its
     loop cap.
 
-    The sweep walks the states depth first, one instance per level: each
-    instance is spawned once per prefix of choices into a clone of the
-    world that holds the prefix, so states sharing a prefix share its spawns.
+    The sweep walks the states depth first through one world, one instance
+    per level: each instance is spawned once per prefix of choices and
+    rewound before the next, so states sharing a prefix share its spawns.
+    At each state both chains run, each from a fresh copy of the one chain
+    instance made per check (exact: every state has the same instance names
+    and schemas), and each run is rewound.
     """
     for chain_name in (chain_a, chain_b):
         if registry.chain(chain_name) is None:
@@ -101,27 +92,48 @@ def check_equivalence(
         raise StateSpaceTooLargeError(f"state space has {size} states (bound {state_bound})")
 
     bindings = {name: name for name, _ in space.instances}
+    world = Microworld(registry, name="equiv")
+    planned: dict[str, transitions.ChainInstance] = {}
     checked = 0
 
-    def sweep(world: Microworld, depth: int, assignment: tuple) -> tuple | None:
-        """The first differing assignment at or below ``world``, if any."""
+    def final_state(chain_name: str) -> frozenset[tuple[str, str, str]]:
+        if chain_name not in planned:
+            planned[chain_name] = transitions.instantiate_chain(
+                world, chain_name, bindings, loop_cap=loop_cap
+            )
+        plan = planned[chain_name]
+        instance = transitions.ChainInstance(
+            plan.schema, plan.bindings, plan.bearer_map,
+            frames=[transitions.Frame(plan.schema.steps)], loop_cap=loop_cap,
+        )
+        mark = world.mark()
+        run(world, instance, max_ticks=10**9)
+        if instance.abort_reason and instance.abort_reason.startswith(
+            transitions.LOOP_CAP_REASON
+        ):
+            raise NonterminatingChainError(instance.abort_reason)
+        live = world.store.live_set()
+        world.rewind(mark)
+        return live
+
+    def sweep(depth: int, assignment: tuple) -> tuple | None:
+        """The first differing assignment below the world's prefix, if any."""
         nonlocal checked
         if depth == len(levels):
             checked += 1
-            final_a = _final_state(world.clone(), chain_a, bindings, loop_cap)
-            final_b = _final_state(world, chain_b, bindings, loop_cap)
-            return assignment if final_a != final_b else None
+            return assignment if final_state(chain_a) != final_state(chain_b) else None
         name, schema_name, dets, axes = levels[depth]
         for combo in itertools.product(*axes):
             determinants = dict(zip(dets, combo))
-            child = world.clone()
-            child.spawn(schema_name, determinants, instance_id=name)
-            found = sweep(child, depth + 1, assignment + ((name, determinants),))
+            mark = world.mark()
+            world.spawn(schema_name, determinants, instance_id=name)
+            found = sweep(depth + 1, assignment + ((name, determinants),))
+            world.rewind(mark)
             if found is not None:
                 return found
         return None
 
-    found = sweep(Microworld(registry, name="equiv"), 0, ())
+    found = sweep(0, ())
     if found is None:
         return EquivalenceResult(True, None, checked)
     # Keyed by (instance, determinable), not by the joined text: "a-b.x" < "a.x".

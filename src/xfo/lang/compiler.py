@@ -339,7 +339,18 @@ def _lower_object(decl: ast.ObjectNode, lowering: _Lowering) -> None:
     qualities = []
     parts = []
     realizables = []
+    slots: set[tuple[str, str]] = set()
     for item in decl.items:
+        slot = (
+            ("quality", item.determinable) if isinstance(item, ast.QualitySlotNode)
+            else ("part", item.slot) if isinstance(item, ast.PartNode) else None
+        )
+        if slot is not None:
+            if slot in slots:
+                message = f"object {decl.name!r} repeats {slot[0]} slot {slot[1]!r}"
+                lowering.error(DUPLICATE_NAME, message, item.span)
+                continue
+            slots.add(slot)
         if isinstance(item, ast.QualitySlotNode):
             ontology = lowering.resolve_ref(item.ontology, item.span)
             qualities.append(schemas.QualitySlot(item.determinable, ontology, item.required))

@@ -6,6 +6,8 @@ every applied unit (a spawn with its parts, one transitional, one process
 boundary) advances the clock by one, and all edits of a unit share its tick.
 The store checks each unit whole before writing it, so a unit that raises
 or blocks leaves the store, the clock and the timeline as they were.
+``mark`` and ``rewind`` undo whole sequences of units: a search that tries
+and takes back moves walks one world instead of copying it per state.
 """
 
 from __future__ import annotations
@@ -163,12 +165,18 @@ class Microworld:
 
     def new_id(self, base: str) -> str:
         base = base.lower()
+        trail, rng, counters = self.store.trail, self._rng, self._id_counters
         while True:
-            if self._rng is not None:
-                candidate = f"{base}-{self._rng.getrandbits(32):08x}"
+            if rng is not None:
+                if trail is not None:
+                    trail.append((rng.setstate, rng.getstate()))
+                candidate = f"{base}-{rng.getrandbits(32):08x}"
             else:
-                count = self._id_counters.get(base, 0) + 1
-                self._id_counters[base] = count
+                count = counters.get(base, 0) + 1
+                if trail is not None:
+                    trail.append((counters.pop, base) if count == 1
+                                 else (counters.__setitem__, base, count - 1))
+                counters[base] = count
                 candidate = f"{base}-{count}"
             if not self.store.has_instance(candidate):
                 return candidate
@@ -212,12 +220,11 @@ class Microworld:
         if aggregate is None:
             raise KindMismatchError(f"{schema_name!r} is not an aggregate schema")
         tick = self.clock + 1
-        new_id = instance_id or self.new_id(schema_name)
         view = self.store.instantiate_aggregate_from_member(
-            aggregate, member_id, slot, tick, new_id
+            aggregate, member_id, slot, tick, instance_id, self.new_id
         )
         self.clock = tick
-        self._record(TimelineEvent(tick, SPAWN, schema_name, (new_id,), (("member", member_id),)))
+        self._record(TimelineEvent(tick, SPAWN, schema_name, (view.id,), (("member", member_id),)))
         return view
 
     def bind_member(self, instance_id: str, slot: str, member_id: str) -> None:
@@ -286,6 +293,8 @@ class Microworld:
                 and (wanted is None or event.participants == wanted)
             ):
                 tick = self._next_tick()
+                if self.store.trail is not None:
+                    self.store.trail.append((self.events.__setitem__, index, event))
                 self.events[index] = TimelineEvent(
                     event.tick, event.kind, event.name, event.participants, (("end", tick),)
                 )
@@ -426,7 +435,34 @@ class Microworld:
             canonical_event_json(event.as_dict()) + "\n" for event in self._ordered_events()
         )
 
-    # -- snapshots ------------------------------------------------------------------------------------
+    # -- marks and snapshots ------------------------------------------------------------------------
+
+    def mark(self) -> tuple:
+        """A token for ``rewind``. While a mark is open, each store and world
+        write pushes its inverse onto the store's trail; the token keeps the
+        clock and the lengths of the event and rule lists."""
+        store = self.store
+        opens = store.trail is None
+        if opens:
+            store.trail = []
+        return None if opens else len(store.trail), self.clock, len(self.events), len(self.rules)
+
+    def rewind(self, token: tuple) -> None:
+        """Put the world back exactly as it was at ``mark``. Marks nest; a mark
+        may be rewound again until the first open mark is rewound, which
+        closes the trail and spends every mark taken since."""
+        length, clock, events, rules = token
+        trail = self.store.trail
+        if trail is None:
+            raise XfoError("no open mark to rewind to")
+        while len(trail) > (length or 0):
+            inverse, *args = trail.pop()
+            inverse(*args)
+        if length is None:
+            self.store.trail = None
+        self.clock = clock
+        del self.events[events:]
+        del self.rules[rules:]
 
     def clone(self) -> "Microworld":
         """An independent copy: store, clock, events, rules, id counters, rng

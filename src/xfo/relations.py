@@ -3,8 +3,10 @@
 Triples are never deleted; retraction stamps ``retracted_at`` so past states
 stay queryable for the temporal map. The store also owns the instance table
 (lifecycle, aggregate slots) and part-link metadata, because destruction
-semantics need all three together. A store belongs to one execution context;
-clones are cheap because triple records are frozen and shared.
+semantics need all three together. A store belongs to one execution context.
+While ``trail`` is a list, each write pushes its inverse onto it; running the
+inverses newest first puts the store back exactly as it was. While ``trail``
+is None, writes record nothing.
 
 The store owns every world unit: it checks all a unit will write, once,
 before it writes any of it, so a unit that raises leaves the store as it was.
@@ -111,6 +113,7 @@ class RelationStore:
         self._alive: dict[str, set[str]] = {}  # schema -> ids of its alive instances
         self._slot_refs: dict[str, set[str]] = {}  # member -> aggregates whose slots hold it
         self._link_meta: dict[tuple[str, str], str] = {}  # (part, whole) -> linkage
+        self.trail: list[tuple] | None = None  # inverses of writes, (function, *args)
 
     # -- instances ------------------------------------------------------------
 
@@ -119,9 +122,22 @@ class RelationStore:
         if instance_id in self._instances:
             raise DuplicateNameError(f"instance id {instance_id!r} already exists")
         record = InstanceRecord(instance_id, schema, tick, slots=slots)
-        self._instances[instance_id] = record
-        self._alive.setdefault(schema, set()).add(instance_id)
+        self._register(record)
         return record
+
+    def _register(self, record: InstanceRecord) -> None:
+        self._instances[record.id] = record
+        _join(self._alive, record.schema, record.id)
+        if self.trail is not None:
+            self.trail.append((self._unregister, record))
+
+    def _unregister(self, record: InstanceRecord) -> None:
+        del self._instances[record.id]
+        _discard(self._alive, record.schema, record.id)
+
+    def _revive(self, record: InstanceRecord) -> None:
+        record.destroyed_at = None
+        _join(self._alive, record.schema, record.id)
 
     def instance(self, instance_id: str) -> InstanceRecord:
         record = self._instances.get(instance_id)
@@ -184,20 +200,37 @@ class RelationStore:
     def _add(self, triple: Triple) -> None:
         self._index(triple, len(self._records))
         self._records.append(triple)
+        if self.trail is not None:
+            self.trail.append((self._unadd, triple))
+
+    def _unadd(self, triple: Triple) -> None:
+        self._records.pop()
+        self._unindex(triple.subject, triple.predicate, triple.object)
 
     def _index(self, triple: Triple, index: int) -> None:
         subject, predicate, obj = triple.subject, triple.predicate, triple.object
         self._by_subject.setdefault(predicate, {}).setdefault(subject, {})[obj] = index
         self._by_object.setdefault(predicate, {}).setdefault(obj, set()).add(subject)
 
-    def _retract(self, subject: str, predicate: str, obj: str, tick: int) -> None:
+    def _unindex(self, subject: str, predicate: str, obj: str) -> int:
         subjects = self._by_subject[predicate]
         objects = subjects[subject]
         index = objects.pop(obj)
         if not objects:
             del subjects[subject]
         _discard(self._by_object[predicate], obj, subject)
-        self._records[index] = replace(self._records[index], retracted_at=tick)
+        return index
+
+    def _retract(self, subject: str, predicate: str, obj: str, tick: int) -> None:
+        index = self._unindex(subject, predicate, obj)
+        triple = self._records[index]
+        self._records[index] = replace(triple, retracted_at=tick)
+        if self.trail is not None:
+            self.trail.append((self._unretract, index, triple))
+
+    def _unretract(self, index: int, triple: Triple) -> None:
+        self._records[index] = triple
+        self._index(triple, index)
 
     # -- assertion checks --------------------------------------------------------------
 
@@ -354,16 +387,15 @@ class RelationStore:
             if new_id in self._instances or new_id in fresh:
                 raise DuplicateNameError(f"instance id {new_id!r} already exists")
             fresh[new_id] = InstanceRecord(new_id, name, tick)
-        self._instances.update(fresh)
         for record in fresh.values():
-            self._alive.setdefault(record.schema, set()).add(record.id)
+            self._register(record)
         for determinable, value in qualities.items():
             self._add(Triple(root, determinable, value, tick))
         if location is not None:
             self._add(Triple(root, "located_in", location, tick))
         for part, whole, linkage in links:
             self._add(Triple(root + part, PART_OF, root + whole, tick))
-            self._link_meta[(root + part, root + whole)] = linkage
+            self._set_linkage(root + part, root + whole, linkage)
         return list(fresh.values())
 
     def _plan_spawn(self, schema: schemas.ThickObjectSchema, determinants: dict[str, str],
@@ -402,7 +434,14 @@ class RelationStore:
         if linkage not in (schemas.COMPOSITION, schemas.CONTAINMENT):
             raise KindMismatchError(f"unknown linkage: {linkage}")
         self.assert_relation(part, PART_OF, whole, tick)
-        self._link_meta[(part, whole)] = linkage
+        self._set_linkage(part, whole, linkage)
+
+    def _set_linkage(self, part: str, whole: str, linkage: str) -> None:
+        meta, key = self._link_meta, (part, whole)
+        if self.trail is not None:
+            old = meta.get(key)
+            self.trail.append((meta.pop, key) if old is None else (meta.__setitem__, key, old))
+        meta[key] = linkage
 
     def linkage(self, part: str, whole: str) -> str:
         # Direct part_of assertions default to the weaker containment discipline.
@@ -482,42 +521,69 @@ class RelationStore:
         member_id: str,
         slot: str,
         tick: int,
-        instance_id: str,
+        instance_id: str | None,
+        draw_id: Callable[[str], str] | None = None,
     ) -> AggregateInstance:
         """Create an aggregate instance from a single known member.
 
         The named slot is bound; every other slot is typed but unbound.
-        Declared link relations are asserted as slots pair up.
+        Declared link relations are asserted as slots pair up. ``draw_id``
+        names the aggregate unless ``instance_id`` does, once the unit checks.
         """
+        self._check_member(aggregate, slot, member_id)
         slots: dict[str, str | None] = dict.fromkeys(m.slot for m in aggregate.members)
-        member_of, *links = self._member_unit(aggregate, slots, slot, member_id, instance_id)
-        # Checked before the aggregate exists; member_of joins it to a member checked live.
-        links = self._check_unit((), links)
         slots[slot] = member_id
+        # Checked before the aggregate exists; member_of joins it to a member checked live.
+        links = self._check_unit((), _slot_links(aggregate, slots, slot))
+        instance_id = instance_id or draw_id(aggregate.name)
         self.register_instance(instance_id, aggregate.name, tick, slots=slots)
-        for subject, predicate, obj in (member_of, *links):
+        for subject, predicate, obj in ((member_id, MEMBER_OF, instance_id), *links):
             self._add(Triple(subject, predicate, obj, tick))
-        self._slot_refs.setdefault(member_id, set()).add(instance_id)
+        self._edit_refs(_join, member_id, instance_id)
         return self.aggregate_view(instance_id)
 
     def bind_member(self, instance_id: str, slot: str, member_id: str, tick: int) -> None:
+        """Fill ``slot`` as one unit: create ``member_of`` and the links the
+        filled slot completes; retract those of the member it held before,
+        unless that member still holds another slot. A link another live
+        aggregate still completes stays."""
         record = self.instance(instance_id)
         aggregate = self.registry.aggregate(record.schema)
         if aggregate is None or record.slots is None:
             raise SlotTypeMismatchError(f"{instance_id!r} is not an aggregate instance")
-        creates = self._member_unit(aggregate, record.slots, slot, member_id, instance_id)
-        self.apply_unit((), creates, tick)
-        previous = record.slots[slot]
-        record.slots[slot] = member_id
-        self._slot_refs.setdefault(member_id, set()).add(instance_id)
-        if previous is not None and previous not in record.slots.values():
-            _discard(self._slot_refs, previous, instance_id)
+        self._check_member(aggregate, slot, member_id)
+        slots = record.slots
+        previous = slots[slot]
+        filled = {**slots, slot: member_id}
+        leaves = previous is not None and previous not in filled.values()
+        deletes = ()
+        if leaves:
+            others = (self._instances[i] for i in self._slot_refs[previous] - {instance_id})
+            kept = {key for other in others if other.alive for key in _slot_links(
+                self.registry.aggregate(other.schema), other.slots)}
+            joined = [(previous, MEMBER_OF, instance_id), *_slot_links(aggregate, slots, slot)]
+            deletes = tuple(key for key in joined if key in self and key not in kept)
+        creates = [(member_id, MEMBER_OF, instance_id), *_slot_links(aggregate, filled, slot)]
+        self.apply_unit(deletes, creates, tick)
+        if self.trail is not None:
+            self.trail.append((slots.__setitem__, slot, previous))
+        slots[slot] = member_id
+        if instance_id not in self._slot_refs.get(member_id, ()):
+            self._edit_refs(_join, member_id, instance_id)
+        if leaves:
+            self._edit_refs(_discard, previous, instance_id)
 
-    def _member_unit(self, aggregate: schemas.AggregateSchema, slots: dict[str, str | None],
-                     slot: str, member_id: str, instance_id: str) -> list[tuple[str, str, str]]:
-        """Check that ``member_id`` may fill ``slot``: the slot is declared and
-        the member is a live instance of its kind. Returns the binding's
-        creates: ``member_of``, then each link the filled slot completes."""
+    def _edit_refs(self, edit: Callable, member: str, aggregate: str) -> None:
+        """Apply ``edit`` (``_join`` or ``_discard``) to the member's slot refs."""
+        edit(self._slot_refs, member, aggregate)
+        if self.trail is not None:
+            self.trail.append((_discard if edit is _join else _join,
+                               self._slot_refs, member, aggregate))
+
+    def _check_member(self, aggregate: schemas.AggregateSchema, slot: str,
+                      member_id: str) -> None:
+        """Raise unless ``member_id`` may fill ``slot``: the slot is declared
+        and the member is a live instance of its kind."""
         declared = aggregate.member(slot)
         if declared is None:
             raise SlotTypeMismatchError(f"{aggregate.name!r} has no slot {slot!r}")
@@ -529,13 +595,6 @@ class RelationStore:
             )
         if not member.alive:
             raise SubjectDestroyedError(f"subject {member_id!r} is destroyed")
-        filled = {**slots, slot: member_id}
-        creates = [(member_id, MEMBER_OF, instance_id)]
-        for link in aggregate.links:
-            subject, obj = filled.get(link.subject_slot), filled.get(link.object_slot)
-            if slot in (link.subject_slot, link.object_slot) and None not in (subject, obj):
-                creates.append((subject, link.relation, obj))
-        return list(dict.fromkeys(creates))
 
     def aggregate_view(self, instance_id: str) -> AggregateInstance:
         record = self.instance(instance_id)
@@ -579,11 +638,14 @@ class RelationStore:
                     order.append(part)
                     queue.append(part)
 
+        trail = self.trail
         touched: set[tuple[str, str, str]] = set()
         for dest in order:
             record = self._instances[dest]
             record.destroyed_at = tick
-            self._alive[record.schema].discard(dest)
+            _discard(self._alive, record.schema, dest)
+            if trail is not None:
+                trail.append((self._revive, record))
             for predicate, objects in self._by_subject.items():
                 touched.update((dest, predicate, obj) for obj in objects.get(dest, ()))
             for predicate, subjects in self._by_object.items():
@@ -593,10 +655,15 @@ class RelationStore:
 
         # Slots pointing at a destroyed member revert to unbound in the live view.
         for dest in order:
-            for aggregate in self._slot_refs.pop(dest, ()):
+            aggregates = self._slot_refs.pop(dest, ())
+            if trail is not None and aggregates:
+                trail.append((self._slot_refs.__setitem__, dest, aggregates))
+            for aggregate in aggregates:
                 slots = self._instances[aggregate].slots
                 for slot, member in slots.items():
                     if member == dest:
+                        if trail is not None:
+                            trail.append((slots.__setitem__, slot, dest))
                         slots[slot] = None
         return order
 
@@ -634,12 +701,29 @@ class RelationStore:
         })
 
 
+def _join(index: dict[str, set[str]], key: str, value: str) -> None:
+    """Add ``value`` to ``index[key]``; ``_discard`` undoes it."""
+    index.setdefault(key, set()).add(value)
+
+
 def _discard(index: dict[str, set[str]], key: str, value: str) -> None:
     """Remove ``value`` from ``index[key]``, dropping the key once its set empties."""
     values = index[key]
     values.discard(value)
     if not values:
         del index[key]
+
+
+def _slot_links(aggregate: schemas.AggregateSchema, slots: dict[str, str | None],
+                slot: str | None = None) -> list[tuple[str, str, str]]:
+    """The link triples whose ends ``slots`` binds and, given ``slot``, one
+    of which is ``slot``, deduplicated in declaration order."""
+    links = []
+    for link in aggregate.links:
+        subject, obj = slots.get(link.subject_slot), slots.get(link.object_slot)
+        if slot in (None, link.subject_slot, link.object_slot) and None not in (subject, obj):
+            links.append((subject, link.relation, obj))
+    return list(dict.fromkeys(links))
 
 
 def _substitute(term: schemas.Term, bindings: dict[str, str]) -> schemas.Term:

@@ -357,6 +357,20 @@ def test_a_predicate_name_means_one_thing():
     compile_ok({"m": "quality hue { red }\nobject Lamp { quality hue: hue }\n"})
 
 
+def test_a_repeated_object_slot_is_one_diagnostic_at_the_repeat():
+    result = compile_sources({"m": (
+        "quality hue { a }\nobject Gear { }\n"
+        "object Lamp {\n"
+        "  quality color: hue\n  part a: Gear function \"x\"\n  quality color: hue required\n"
+        "  part a: Gear function \"y\"\n  part color: Gear function \"z\"\n}\n"
+    )})
+    assert [(d.code, d.span.line, d.span.column, d.message) for d in result.diagnostics] == [
+        ("DuplicateName", 6, 3, "object 'Lamp' repeats quality slot 'color'"),
+        ("DuplicateName", 7, 3, "object 'Lamp' repeats part slot 'a'"),
+    ]
+    assert not result.ok
+
+
 def test_repeated_determinant_is_one_diagnostic():
     result = compile_sources(
         {"m": "quality hue { a, a }\nobject Lamp { quality hue: hue required }\n"}

@@ -363,6 +363,55 @@ def test_destroy_aggregate_leaves_members_alive(orchestra_store):
     assert not orchestra_store.matches(Pattern("member_of", var("m"), var("a")))
 
 
+def test_a_rejected_instantiation_draws_no_id(corpus):
+    world = world_from(corpus, "workshop")
+    world.spawn("Kiln", instance_id="kiln")
+    with pytest.raises(SlotTypeMismatchError):
+        world.instantiate_aggregate("Orchestra", "kiln", "strings")
+    assert world.instantiate_aggregate("Orchestra", "violinist", "strings").id == "orchestra-1"
+
+
+def test_rebinding_a_slot_retracts_the_member_it_replaces(corpus):
+    world = world_from(corpus, "workshop")
+    world.instantiate_aggregate("Orchestra", "violinist", "strings", instance_id="o")
+    world.bind_member("o", "conductor", "maestro")
+    world.bind_member("o", "strings", "trumpeter")
+    tick = world.clock
+    live = world.store.live_set()
+    assert ("violinist", "member_of", "o") not in live
+    assert ("violinist", "performs_with", "maestro") not in live
+    assert {("trumpeter", "member_of", "o"), ("trumpeter", "performs_with", "maestro")} <= live
+    retracted = {(t.subject, t.predicate, t.object) for t in world.store.records
+                 if t.retracted_at == tick}
+    assert retracted == {("violinist", "member_of", "o"), ("violinist", "performs_with", "maestro")}
+
+
+def test_rebinding_keeps_a_link_another_aggregate_completes(corpus):
+    world = world_from(corpus, "workshop")
+    for orchestra in ("o1", "o2"):
+        world.instantiate_aggregate("Orchestra", "violinist", "strings", instance_id=orchestra)
+        world.bind_member(orchestra, "conductor", "maestro")
+    world.bind_member("o1", "strings", "trumpeter")
+    live = world.store.live_set()
+    assert ("violinist", "member_of", "o1") not in live
+    assert {("violinist", "member_of", "o2"), ("violinist", "performs_with", "maestro")} <= live
+    # A destroyed aggregate completes nothing.
+    world.destroy("o2")
+    world.bind_member("o1", "strings", "violinist")
+    world.bind_member("o1", "strings", "timpanist")
+    assert ("violinist", "performs_with", "maestro") not in world.store.live_set()
+
+
+def test_rebinding_keeps_a_member_that_holds_another_slot(corpus):
+    world = world_from(corpus, "workshop")
+    world.instantiate_aggregate("Orchestra", "violinist", "strings", instance_id="o")
+    world.bind_member("o", "brass", "violinist")
+    world.bind_member("o", "strings", "trumpeter")
+    assert ("violinist", "member_of", "o") in world.store.live_set()
+    world.bind_member("o", "brass", "timpanist")
+    assert ("violinist", "member_of", "o") not in world.store.live_set()
+
+
 # --- relation endpoints must be live ----------------------------------------------------
 
 
