@@ -17,7 +17,6 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 from types import MappingProxyType
 
 from . import schemas, transitions
@@ -173,10 +172,7 @@ class Microworld:
                 candidate = f"{base}-{rng.getrandbits(32):08x}"
             else:
                 count = counters.get(base, 0) + 1
-                if trail is not None:
-                    trail.append((counters.pop, base) if count == 1
-                                 else (counters.__setitem__, base, count - 1))
-                counters[base] = count
+                self.store._put(counters, base, count)
                 candidate = f"{base}-{count}"
             if not self.store.has_instance(candidate):
                 return candidate
@@ -422,18 +418,14 @@ class Microworld:
 
     # -- timeline export --------------------------------------------------------------------------
 
-    def _ordered_events(self) -> list[TimelineEvent]:
-        # A stable sort keeps recording order among events of one tick.
-        return sorted(self.events, key=attrgetter("tick"))
-
     def export_timeline(self) -> list[dict]:
-        """The unified temporal map: every event, nondecreasing tick order."""
-        return [event.as_dict() for event in self._ordered_events()]
+        """The unified temporal map: every event, nondecreasing tick order.
+        Each unit records its events at the tick it takes, so ``events`` is
+        already in that order."""
+        return [event.as_dict() for event in self.events]
 
     def timeline_ndjson(self) -> str:
-        return "".join(
-            canonical_event_json(event.as_dict()) + "\n" for event in self._ordered_events()
-        )
+        return "".join(canonical_event_json(event.as_dict()) + "\n" for event in self.events)
 
     # -- marks and snapshots ------------------------------------------------------------------------
 
@@ -492,7 +484,7 @@ class Microworld:
         return streamed_fingerprint({
             "clock": self.clock,
             "store": self.store.fingerprint(),
-            "events": (canonical_event_json(e.as_dict()) for e in self._ordered_events()),
+            "events": (canonical_event_json(e.as_dict()) for e in self.events),
         })
 
 

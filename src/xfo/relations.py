@@ -6,7 +6,10 @@ stay queryable for the temporal map. The store also owns the instance table
 semantics need all three together. A store belongs to one execution context.
 While ``trail`` is a list, each write pushes its inverse onto it; running the
 inverses newest first puts the store back exactly as it was. While ``trail``
-is None, writes record nothing.
+is None, writes record nothing. Besides instance and triple writes, every
+undoable write (aggregate slots, part linkages, the world's id counters) is
+a dict write through ``_put``. An aggregate's slots are the one record of
+its membership: ``_slot_triples`` says which triples they imply.
 
 The store owns every world unit: it checks all a unit will write, once,
 before it writes any of it, so a unit that raises leaves the store as it was.
@@ -43,7 +46,7 @@ from .errors import (
     UnknownInstanceError,
 )
 from .fingerprint import streamed_fingerprint
-from .kinds import INDEPENDENT_CONTINUANT
+from .kinds import INDEPENDENT_CONTINUANT, OBJECT_AGGREGATE
 from .registry import BUILTIN_PREDICATES, Registry
 
 PART_OF = "part_of"
@@ -111,8 +114,9 @@ class RelationStore:
         self._by_object: dict[str, dict[str, set[str]]] = {}
         self._instances: dict[str, InstanceRecord] = {}
         self._alive: dict[str, set[str]] = {}  # schema -> ids of its alive instances
-        self._slot_refs: dict[str, set[str]] = {}  # member -> aggregates whose slots hold it
         self._link_meta: dict[tuple[str, str], str] = {}  # (part, whole) -> linkage
+        # The kinds aggregate slots declare; destroying no instance of one unbinds no slot.
+        self._member_kinds = frozenset(m.schema for a in registry.aggregates() for m in a.members)
         self.trail: list[tuple] | None = None  # inverses of writes, (function, *args)
 
     # -- instances ------------------------------------------------------------
@@ -305,7 +309,7 @@ class RelationStore:
                     f"object of {predicate!r} must be a live instance, got {obj!r}"
                 )
             if predicate == MEMBER_OF and not registry.is_subkind(
-                target.schema, "ObjectAggregate"
+                target.schema, OBJECT_AGGREGATE
             ):
                 raise KindMismatchError(f"{obj!r} is not an aggregate instance")
         elif predicate == HAS_ROLE:
@@ -325,35 +329,30 @@ class RelationStore:
 
     def assert_relation(self, subject: str, predicate: str, obj: str, tick: int) -> bool:
         """Add a live triple. Returns False (no-op) if it is already live."""
-        if obj in self._objects(subject, predicate):
-            return False
-        self.check_assert(subject, predicate, obj)
-        self._add(Triple(subject, predicate, obj, tick))
-        return True
+        return bool(self.apply_unit((), ((subject, predicate, obj),), tick))
 
     def retract_relation(self, subject: str, predicate: str, obj: str, tick: int) -> None:
-        if obj not in self._objects(subject, predicate):
-            raise NoSuchLiveTripleError(f"no live triple {(subject, predicate, obj)!r}")
-        self._retract(subject, predicate, obj, tick)
+        self.apply_unit(((subject, predicate, obj),), (), tick)
 
     def apply_unit(
         self,
         deletes: tuple[tuple[str, str, str], ...],
         creates: Sequence[tuple[str, str, str]],
         tick: int,
-    ) -> None:
+    ) -> list[tuple[str, str, str]]:
         """Retract ``deletes`` then assert ``creates``, all at ``tick``, as one unit.
 
         Edits are distinct (subject, predicate, object) triples. The whole
         unit is checked against the post-delete view before anything mutates,
         so a unit that raises leaves the store untouched. A create of a live
-        triple the unit does not delete is a no-op.
+        triple the unit does not delete is a no-op. Returns the creates added.
         """
         added = self._check_unit(deletes, creates)
         for key in deletes:
             self._retract(*key, tick)
         for subject, predicate, obj in added:
             self._add(Triple(subject, predicate, obj, tick))
+        return added
 
     def _check_unit(self, deletes: Sequence[tuple[str, str, str]],
                     creates: Sequence[tuple[str, str, str]]) -> list[tuple[str, str, str]]:
@@ -395,7 +394,7 @@ class RelationStore:
             self._add(Triple(root, "located_in", location, tick))
         for part, whole, linkage in links:
             self._add(Triple(root + part, PART_OF, root + whole, tick))
-            self._set_linkage(root + part, root + whole, linkage)
+            self._put(self._link_meta, (root + part, root + whole), linkage)
         return list(fresh.values())
 
     def _plan_spawn(self, schema: schemas.ThickObjectSchema, determinants: dict[str, str],
@@ -434,14 +433,14 @@ class RelationStore:
         if linkage not in (schemas.COMPOSITION, schemas.CONTAINMENT):
             raise KindMismatchError(f"unknown linkage: {linkage}")
         self.assert_relation(part, PART_OF, whole, tick)
-        self._set_linkage(part, whole, linkage)
+        self._put(self._link_meta, (part, whole), linkage)
 
-    def _set_linkage(self, part: str, whole: str, linkage: str) -> None:
-        meta, key = self._link_meta, (part, whole)
+    def _put(self, mapping: dict, key, value) -> None:
+        """Set ``mapping[key]`` to ``value``; the one undoable dict write."""
         if self.trail is not None:
-            old = meta.get(key)
-            self.trail.append((meta.pop, key) if old is None else (meta.__setitem__, key, old))
-        meta[key] = linkage
+            self.trail.append((mapping.__setitem__, key, mapping[key]) if key in mapping
+                              else (mapping.pop, key))
+        mapping[key] = value
 
     def linkage(self, part: str, whole: str) -> str:
         # Direct part_of assertions default to the weaker containment discipline.
@@ -527,58 +526,48 @@ class RelationStore:
         """Create an aggregate instance from a single known member.
 
         The named slot is bound; every other slot is typed but unbound.
-        Declared link relations are asserted as slots pair up. ``draw_id``
-        names the aggregate unless ``instance_id`` does, once the unit checks.
+        ``draw_id`` names the aggregate unless ``instance_id`` does, once the
+        unit checks.
         """
         self._check_member(aggregate, slot, member_id)
         slots: dict[str, str | None] = dict.fromkeys(m.slot for m in aggregate.members)
         slots[slot] = member_id
-        # Checked before the aggregate exists; member_of joins it to a member checked live.
-        links = self._check_unit((), _slot_links(aggregate, slots, slot))
+        # member_of, first, joins a member checked live to an aggregate not made
+        # yet; the links name no aggregate, so they are checked before its id is drawn.
+        links = self._check_unit((), _slot_triples(aggregate, instance_id, slots)[1:])
         instance_id = instance_id or draw_id(aggregate.name)
         self.register_instance(instance_id, aggregate.name, tick, slots=slots)
         for subject, predicate, obj in ((member_id, MEMBER_OF, instance_id), *links):
             self._add(Triple(subject, predicate, obj, tick))
-        self._edit_refs(_join, member_id, instance_id)
         return self.aggregate_view(instance_id)
 
     def bind_member(self, instance_id: str, slot: str, member_id: str, tick: int) -> None:
-        """Fill ``slot`` as one unit: create ``member_of`` and the links the
-        filled slot completes; retract those of the member it held before,
-        unless that member still holds another slot. A link another live
-        aggregate still completes stays."""
+        """Fill ``slot`` as one unit: create the triples the filled slots
+        imply and retract those they stop implying, unless another live
+        aggregate implies them too."""
         record = self.instance(instance_id)
         aggregate = self.registry.aggregate(record.schema)
         if aggregate is None or record.slots is None:
             raise SlotTypeMismatchError(f"{instance_id!r} is not an aggregate instance")
         self._check_member(aggregate, slot, member_id)
-        slots = record.slots
-        previous = slots[slot]
-        filled = {**slots, slot: member_id}
-        leaves = previous is not None and previous not in filled.values()
-        deletes = ()
-        if leaves:
-            others = (self._instances[i] for i in self._slot_refs[previous] - {instance_id})
-            kept = {key for other in others if other.alive for key in _slot_links(
-                self.registry.aggregate(other.schema), other.slots)}
-            joined = [(previous, MEMBER_OF, instance_id), *_slot_links(aggregate, slots, slot)]
-            deletes = tuple(key for key in joined if key in self and key not in kept)
-        creates = [(member_id, MEMBER_OF, instance_id), *_slot_links(aggregate, filled, slot)]
-        self.apply_unit(deletes, creates, tick)
-        if self.trail is not None:
-            self.trail.append((slots.__setitem__, slot, previous))
-        slots[slot] = member_id
-        if instance_id not in self._slot_refs.get(member_id, ()):
-            self._edit_refs(_join, member_id, instance_id)
-        if leaves:
-            self._edit_refs(_discard, previous, instance_id)
+        creates = _slot_triples(aggregate, instance_id, {**record.slots, slot: member_id})
+        dropped = [key for key in _slot_triples(aggregate, instance_id, record.slots)
+                   if key not in creates]
+        self.apply_unit(self._orphans(dropped, {instance_id}), creates, tick)
+        self._put(record.slots, slot, member_id)
 
-    def _edit_refs(self, edit: Callable, member: str, aggregate: str) -> None:
-        """Apply ``edit`` (``_join`` or ``_discard``) to the member's slot refs."""
-        edit(self._slot_refs, member, aggregate)
-        if self.trail is not None:
-            self.trail.append((_discard if edit is _join else _join,
-                               self._slot_refs, member, aggregate))
+    def _orphans(self, keys: list[tuple[str, str, str]],
+                 gone: set[str]) -> tuple[tuple[str, str, str], ...]:
+        """The live ``keys`` that no live aggregate outside ``gone`` implies.
+        A link's subject is a member, joined by member_of to each aggregate
+        whose slots hold it."""
+        holders = {a for subject, _, _ in keys for a in self._objects(subject, MEMBER_OF)}
+        kept = set()
+        for holder in holders - gone:
+            record = self._instances[holder]
+            kept.update(_slot_triples(self.registry.aggregate(record.schema), holder,
+                                      record.slots))
+        return tuple(key for key in keys if key in self and key not in kept)
 
     def _check_member(self, aggregate: schemas.AggregateSchema, slot: str,
                       member_id: str) -> None:
@@ -615,7 +604,10 @@ class RelationStore:
 
         Containment parts and aggregate members survive; only their link
         triples are retracted. Every remaining live triple touching a
-        destroyed id is retracted at ``tick``. Returns ids in traversal order.
+        destroyed id is retracted at ``tick``, and so is each link a destroyed
+        aggregate implies that no live aggregate implies too. Every slot of a
+        destroyed aggregate, and every slot of a live one that held a
+        destroyed member, becomes unbound. Returns ids in traversal order.
         """
         root = self.instance(instance_id)
         if not root.alive:
@@ -638,33 +630,35 @@ class RelationStore:
                     order.append(part)
                     queue.append(part)
 
-        trail = self.trail
+        gone = set(order)
         touched: set[tuple[str, str, str]] = set()
+        implied: list[tuple[str, str, str]] = []
+        holders: list[str] = []  # aggregates whose slots may hold a destroyed id
         for dest in order:
             record = self._instances[dest]
             record.destroyed_at = tick
             _discard(self._alive, record.schema, dest)
-            if trail is not None:
-                trail.append((self._revive, record))
+            if self.trail is not None:
+                self.trail.append((self._revive, record))
             for predicate, objects in self._by_subject.items():
                 touched.update((dest, predicate, obj) for obj in objects.get(dest, ()))
             for predicate, subjects in self._by_object.items():
                 touched.update((subj, predicate, dest) for subj in subjects.get(dest, ()))
+            if record.slots is not None:
+                implied += _slot_triples(self.registry.aggregate(record.schema), dest, record.slots)
+                holders.append(dest)
+        touched.update(self._orphans(implied, gone))
         for key in sorted(touched):
             self._retract(*key, tick)
-
-        # Slots pointing at a destroyed member revert to unbound in the live view.
-        for dest in order:
-            aggregates = self._slot_refs.pop(dest, ())
-            if trail is not None and aggregates:
-                trail.append((self._slot_refs.__setitem__, dest, aggregates))
-            for aggregate in aggregates:
-                slots = self._instances[aggregate].slots
-                for slot, member in slots.items():
-                    if member == dest:
-                        if trail is not None:
-                            trail.append((slots.__setitem__, slot, dest))
-                        slots[slot] = None
+        # A destroyed aggregate holds nothing, and no live one holds a destroyed member.
+        paths = self.registry.kinds.paths
+        if any(self._member_kinds.intersection(paths[self._instances[d].schema]) for d in order):
+            holders += self.alive_of_kind(OBJECT_AGGREGATE)
+        for holder in holders:
+            slots = self._instances[holder].slots
+            for slot, member in slots.items():
+                if member is not None and (holder in gone or member in gone):
+                    self._put(slots, slot, None)
         return order
 
     # -- snapshots -------------------------------------------------------------------------
@@ -682,7 +676,6 @@ class RelationStore:
         }
         other._instances = {i: rec.copy() for i, rec in self._instances.items()}
         other._alive = {schema: set(ids) for schema, ids in self._alive.items()}
-        other._slot_refs = {member: set(ids) for member, ids in self._slot_refs.items()}
         other._link_meta = dict(self._link_meta)
         return other
 
@@ -702,7 +695,7 @@ class RelationStore:
 
 
 def _join(index: dict[str, set[str]], key: str, value: str) -> None:
-    """Add ``value`` to ``index[key]``; ``_discard`` undoes it."""
+    """Add ``value`` to ``index[key]``."""
     index.setdefault(key, set()).add(value)
 
 
@@ -714,16 +707,17 @@ def _discard(index: dict[str, set[str]], key: str, value: str) -> None:
         del index[key]
 
 
-def _slot_links(aggregate: schemas.AggregateSchema, slots: dict[str, str | None],
-                slot: str | None = None) -> list[tuple[str, str, str]]:
-    """The link triples whose ends ``slots`` binds and, given ``slot``, one
-    of which is ``slot``, deduplicated in declaration order."""
-    links = []
+def _slot_triples(aggregate: schemas.AggregateSchema, instance_id: str | None,
+                  slots: dict[str, str | None]) -> list[tuple[str, str, str]]:
+    """The triples an aggregate's slots imply: each bound member's
+    ``member_of``, in slot order, then each link whose two slots are bound,
+    in declaration order, each triple once."""
+    triples = [(member, MEMBER_OF, instance_id) for member in slots.values() if member is not None]
     for link in aggregate.links:
-        subject, obj = slots.get(link.subject_slot), slots.get(link.object_slot)
-        if slot in (None, link.subject_slot, link.object_slot) and None not in (subject, obj):
-            links.append((subject, link.relation, obj))
-    return list(dict.fromkeys(links))
+        subject, obj = slots[link.subject_slot], slots[link.object_slot]
+        if subject is not None and obj is not None:
+            triples.append((subject, link.relation, obj))
+    return list(dict.fromkeys(triples))
 
 
 def _substitute(term: schemas.Term, bindings: dict[str, str]) -> schemas.Term:

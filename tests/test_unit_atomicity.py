@@ -3,9 +3,13 @@
 A unit that raises an ``XfoError``, blocks or is a no-op leaves the world's
 fingerprint, clock and timeline length as they were; an applied unit
 advances the clock by one tick. No instance, triple or event ever carries a
-tick later than the clock. Units run on the corpus kinds and on a small
-guild model whose link relations are narrower than the slots they join.
+tick later than the clock, and the timeline's ticks never decrease. Units
+run on the corpus kinds and on a small guild model whose link relations are
+narrower than the slots they join. The generator mostly draws valid
+arguments, so binds, part-tree spawns and applies each apply many times.
 """
+
+from collections import Counter
 
 from conftest import load_corpus_modules
 from hypothesis import given, settings
@@ -44,9 +48,14 @@ IDS = ("a", "b", "c", "c.main_gear", "c.mainspring", "g", "ghost")
 PROCESSES = ("work", "rest")
 
 
+def _rarely(draw) -> bool:
+    """True for one draw in eight. Shrinking heads for False, the likely choice."""
+    return draw(st.integers(0, 7)) == 7
+
+
 def _pick(draw, likely, other=IDS):
     """Mostly one of ``likely``, sometimes one of ``other``."""
-    if likely and draw(st.integers(0, 3)):
+    if likely and not _rarely(draw):
         return draw(st.sampled_from(sorted(likely)))
     return draw(st.sampled_from(other))
 
@@ -77,16 +86,19 @@ def _triple(world, draw):
 
 def spawn(world, draw):
     registry = world.registry
-    names = sorted(o.name for o in registry.objects())
-    name = draw(st.sampled_from(names + [next(registry.aggregates()).name, "Nope"]))
+    # Mostly a kind that makes a part tree, fills a slot or bears a transitional.
+    acted_on = {m.schema for a in registry.aggregates() for m in a.members}
+    acted_on |= {t.bearer_kind for t in registry.transitionals()}
+    names = [o.name for o in registry.objects()]
+    likely = [o.name for o in registry.objects() if o.parts or o.name in acted_on]
+    name = _pick(draw, likely, names + [next(registry.aggregates()).name, "Nope"])
     determinants = {}
     schema = registry.object_schema(name)
     for slot in schema.qualities if schema is not None else ():
-        choice = draw(st.integers(0, 4))  # 0 leaves it out, 1 gives a bad value
-        if choice:
+        if not _rarely(draw):  # rarely left out, rarely a bad value
             values = registry.quality(slot.ontology).determinants
-            determinants[slot.determinable] = draw(st.sampled_from(values)) if choice > 1 else "x"
-    if draw(st.integers(0, 9)) == 0:
+            determinants[slot.determinable] = "x" if _rarely(draw) else draw(st.sampled_from(values))
+    if _rarely(draw):
         determinants["bogus"] = "x"
     location = draw(st.sampled_from((None, None, "garage")))
     world.spawn(name, determinants, location=location,
@@ -95,7 +107,10 @@ def spawn(world, draw):
 
 
 def instantiate(world, draw):
-    aggregate = draw(st.sampled_from(list(world.registry.aggregates())))
+    aggregates = {a.name: a for a in world.registry.aggregates()}
+    with_members = [name for name, a in aggregates.items()
+                    if any(world.store.alive_of_kind(m.schema) for m in a.members)]
+    aggregate = aggregates[_pick(draw, with_members, sorted(aggregates))]
     slot, member = _member(world, draw, aggregate)
     name = _pick(draw, [aggregate.name], ("Person",))
     world.instantiate_aggregate(name, member, slot,
@@ -105,7 +120,9 @@ def instantiate(world, draw):
 
 def bind(world, draw):
     store = world.store
-    instance_id = _pick(draw, [r.id for r in store.instances() if r.slots is not None])
+    aggregates = [r for r in store.instances() if r.slots is not None]
+    instance_id = _pick(draw, [r.id for r in aggregates if r.alive],
+                        [r.id for r in aggregates] + list(IDS))
     schema = store.instance(instance_id).schema if store.has_instance(instance_id) else None
     aggregate = world.registry.aggregate(schema) or next(world.registry.aggregates())
     world.bind_member(instance_id, *_member(world, draw, aggregate))
@@ -126,9 +143,11 @@ def retract(world, draw):
 
 
 def apply(world, draw):
+    alive_of_kind = world.store.alive_of_kind
     transitionals = {t.name: t.bearer_kind for t in world.registry.transitionals()}
-    name = _pick(draw, transitionals, ("missing",))
-    bearers = world.store.alive_of_kind(transitionals[name]) if name in transitionals else ()
+    name = _pick(draw, [t for t, kind in transitionals.items() if alive_of_kind(kind)],
+                 ("missing",))
+    bearers = alive_of_kind(transitionals[name]) if name in transitionals else ()
     result = world.apply(name, _pick(draw, bearers, IDS))
     return isinstance(result, AppliedTransition)
 
@@ -149,9 +168,17 @@ def end_process(world, draw):
     return True
 
 
-# Spawns are listed twice so that worlds fill up before other units run.
-UNITS = (spawn, spawn, instantiate, bind, assert_relation, retract, apply, destroy,
-         begin_process, end_process)
+# Spawns, aggregate units and applies are listed twice: most units need what
+# spawns set up, and binds and applies need more than one earlier unit.
+UNITS = (spawn, spawn, instantiate, instantiate, bind, bind, assert_relation, retract, apply,
+         apply, destroy, begin_process, end_process)
+
+
+def _unit(world, draw):
+    """Mostly a spawn while the world has few alive instances, then any unit."""
+    if len(world.store.alive_of_kind("Entity")) < 6 and not _rarely(draw):
+        return spawn
+    return draw(st.sampled_from(UNITS))
 
 
 def _state(world):
@@ -168,20 +195,33 @@ def _latest_tick(world):
     return max(ticks, default=0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), registry=st.sampled_from(REGISTRIES), length=st.integers(1, 30),
-       seed=st.none() | st.integers(0, 3))
-def test_every_unit_is_atomic(data, registry, length, seed):
-    world = Microworld(registry, seed=seed)
-    for _ in range(length):
-        unit = data.draw(st.sampled_from(UNITS))
-        before = _state(world)
-        try:
-            applied = unit(world, data.draw)
-        except XfoError:
-            applied = False
-        if applied:
-            assert world.clock == before[1] + 1, unit.__name__
-        else:
-            assert _state(world) == before, unit.__name__
-        assert _latest_tick(world) <= world.clock, unit.__name__
+def test_every_unit_is_atomic():
+    returned = Counter()  # units that did not raise, and part-tree spawns
+
+    # Derandomized, so the 200 examples and the counts below are the same on every run.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), registry=st.sampled_from(REGISTRIES), length=st.integers(1, 30),
+           seed=st.none() | st.integers(0, 3))
+    def check(data, registry, length, seed):
+        world = Microworld(registry, seed=seed)
+        for _ in range(length):
+            unit = _unit(world, data.draw)
+            before = _state(world)
+            try:
+                applied = unit(world, data.draw)
+                returned[unit.__name__] += 1
+            except XfoError:
+                applied = False
+            if applied:
+                assert world.clock == before[1] + 1, unit.__name__
+                if unit is spawn and len(world.events) > before[2] + 1:
+                    returned["part tree"] += 1
+            else:
+                assert _state(world) == before, unit.__name__
+            assert _latest_tick(world) <= world.clock, unit.__name__
+            ticks = [event.tick for event in world.events]
+            assert ticks == sorted(ticks), unit.__name__
+
+    check()
+    for unit in ("bind", "part tree", "apply"):
+        assert returned[unit] >= 10, dict(returned)
