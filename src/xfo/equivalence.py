@@ -1,9 +1,11 @@
-"""Brute-force functional equivalence of transition chains.
+"""Functional equivalence of transition chains over a state space.
 
 Two chains are functionally equivalent over a state space when, run to
 completion or abort from every enumerable initial store, their final live
 triple sets coincide. The space enumerates instances and sweeps each
-declared determinable over its full ontology unless pinned.
+declared determinable over its full ontology unless pinned. Only the axes
+the chains' cone of influence reaches are swept; the rest cannot change a
+verdict (Clarke, Grumberg & Peled, *Model Checking*, 1999).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import transitions
+from . import schemas, transitions
 from .errors import NonterminatingChainError, StateSpaceTooLargeError, XfoError
 from .microworld import Microworld, run
 from .registry import Registry
@@ -59,6 +61,51 @@ def _levels(registry: Registry, space: StateSpace) -> list[tuple[str, str, tuple
     return levels
 
 
+def _cone(registry: Registry, chains, levels) -> set[tuple[str, str]]:
+    """The swept (instance, determinable) pairs that a run of either chain may
+    read or write. The patterns in scope: every transitional a chain reaches,
+    on the bearer the chain binds; every ``if``/``while`` condition; and
+    every disposition with a bearer in the world, trigger and realization, on
+    each such bearer (``run`` fires them after any step, and a trigger may
+    hold from the start). A ``bearer`` subject names those bearers, a
+    constant the instance (or role) it spells, any other variable every
+    instance declaring the predicate."""
+    bound = [(name, schema) for name, schema, _, _ in levels]
+    code = []  # (patterns, their bearers, or None where ``bearer`` is a plain variable)
+    for step in (step for chain in chains for step in schemas.walk_steps(chain.steps)):
+        if isinstance(step, schemas.DoStep):
+            transitional = registry.transitional(step.transitional)
+            bearer = transitions.first_bearer(registry, transitional.bearer_kind, bound)
+            code.append((transitional.guards + transitional.deletes + transitional.creates,
+                         [bearer]))
+        else:
+            code.append(((step.condition,), None))
+    present, unseen = set(), [schema for _, schema in bound]
+    while unseen:  # the schemas of the world's instances, parts included
+        present.add(schema := unseen.pop())
+        unseen.extend(part.schema for part in registry.object_schema(schema).parts)
+    for disposition in registry.dispositions():
+        kind, realization = disposition.bearer_kind, registry.transitional(disposition.realization)
+        if disposition.trigger and realization and kind and any(
+            registry.is_subkind(schema, kind) for schema in present
+        ):
+            bearers = [name for name, schema in bound if registry.is_subkind(schema, kind)]
+            code.append(((disposition.trigger, *realization.guards, *realization.deletes,
+                          *realization.creates), bearers))
+    swept = {(name, det) for name, _, dets, _ in levels for det in dets}
+    cone = set()
+    for patterns, bearers in code:
+        for pattern in patterns:
+            subject, predicate = pattern.subject, pattern.predicate
+            if subject == schemas.BEARER and bearers is not None:
+                cone.update((bearer, predicate) for bearer in bearers)
+            elif subject.kind == schemas.VAR:
+                cone.update(pair for pair in swept if pair[1] == predicate)
+            else:
+                cone.add((subject.value, predicate))
+    return cone & swept
+
+
 def check_equivalence(
     registry: Registry,
     chain_a: str,
@@ -76,6 +123,12 @@ def check_equivalence(
     exceeds ``state_bound`` and NonterminatingChain when a run hits its
     loop cap.
 
+    Every state is counted, but an axis outside the chains' cone of influence
+    (``_cone``) is swept at its first value only: nothing reads or writes
+    it, so the verdict and any run error at a state are those of the state
+    with that axis at its first value, which comes no later. The first
+    differing state is thus found, and ``states_checked`` is its place.
+
     The sweep walks the states depth first through one world, one instance
     per level: each instance is spawned once per prefix of choices and
     rewound before the next, so states sharing a prefix share its spawns.
@@ -91,10 +144,15 @@ def check_equivalence(
     if size > state_bound:
         raise StateSpaceTooLargeError(f"state space has {size} states (bound {state_bound})")
 
+    cone = _cone(registry, (registry.chain(chain_a), registry.chain(chain_b)), levels)
+    collapsed = [
+        (name, schema_name, dets,
+         [values if (name, det) in cone else values[:1] for det, values in zip(dets, axes)])
+        for name, schema_name, dets, axes in levels
+    ]
     bindings = {name: name for name, _ in space.instances}
     world = Microworld(registry, name="equiv")
     planned: dict[str, transitions.ChainInstance] = {}
-    checked = 0
 
     def final_state(chain_name: str) -> frozenset[tuple[str, str, str]]:
         if chain_name not in planned:
@@ -118,11 +176,9 @@ def check_equivalence(
 
     def sweep(depth: int, assignment: tuple) -> tuple | None:
         """The first differing assignment below the world's prefix, if any."""
-        nonlocal checked
-        if depth == len(levels):
-            checked += 1
+        if depth == len(collapsed):
             return assignment if final_state(chain_a) != final_state(chain_b) else None
-        name, schema_name, dets, axes = levels[depth]
+        name, schema_name, dets, axes = collapsed[depth]
         for combo in itertools.product(*axes):
             determinants = dict(zip(dets, combo))
             mark = world.mark()
@@ -135,8 +191,12 @@ def check_equivalence(
 
     found = sweep(0, ())
     if found is None:
-        return EquivalenceResult(True, None, checked)
+        return EquivalenceResult(True, None, size)
+    index = 0  # the witness's place in the full order, one mixed-radix digit per axis
+    for (_, determinants), (*_, axes) in zip(found, levels):
+        for value, values in zip(determinants.values(), axes):
+            index = index * len(values) + values.index(value)
     # Keyed by (instance, determinable), not by the joined text: "a-b.x" < "a.x".
     pairs = sorted(((inst, det), value) for inst, dets in found for det, value in dets.items())
     witness = tuple((f"{inst}.{det}", value) for (inst, det), value in pairs)
-    return EquivalenceResult(False, witness, checked)
+    return EquivalenceResult(False, witness, index + 1)

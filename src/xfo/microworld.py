@@ -151,6 +151,8 @@ class Microworld:
         self.store = RelationStore(registry)
         self.clock = 0
         self.events: list[TimelineEvent] = []
+        # process name -> the indices of its open intervals' events, in begin order
+        self._open: dict[str, tuple[int, ...]] = {}
         self.rules: list[InteractionRule] = []
         self.disposition_cap = DEFAULT_DISPOSITION_CAP
         self._rng = random.Random(seed) if seed is not None else None
@@ -268,7 +270,7 @@ class Microworld:
                 f"process {process_name!r} has no alive Independent Continuant participant"
             )
         tick = self._next_tick()
-        return self._record(
+        index = self._record(
             TimelineEvent(
                 tick,
                 PROCESS_INTERVAL,
@@ -277,18 +279,18 @@ class Microworld:
                 (("end", None),),
             )
         )
+        self.store._put(self._open, process_name, self._open.get(process_name, ()) + (index,))
+        return index
 
     def end_process(self, process_name: str, participants=None) -> int:
         """Close the earliest matching open interval at the current tick."""
         wanted = tuple(sorted(participants)) if participants is not None else None
-        for index, event in enumerate(self.events):
-            if (
-                event.kind == PROCESS_INTERVAL
-                and event.name == process_name
-                and event.edit("end") is None
-                and (wanted is None or event.participants == wanted)
-            ):
+        opened = self._open.get(process_name, ())
+        for position, index in enumerate(opened):
+            event = self.events[index]
+            if wanted is None or event.participants == wanted:
                 tick = self._next_tick()
+                self.store._put(self._open, process_name, opened[:position] + opened[position + 1:])
                 if self.store.trail is not None:
                     self.store.trail.append((self.events.__setitem__, index, event))
                 self.events[index] = TimelineEvent(
@@ -462,6 +464,7 @@ class Microworld:
         other = copy.copy(self)
         other.store = self.store.clone()
         other.events = list(self.events)
+        other._open = dict(self._open)
         other.rules = list(self.rules)
         other._id_counters = dict(self._id_counters)
         if self._rng is not None:

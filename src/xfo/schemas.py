@@ -7,6 +7,7 @@ registry can be shared freely.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 from . import kinds
@@ -48,6 +49,15 @@ class Pattern:
     predicate: str
     subject: Term
     object: Term
+
+    def __str__(self) -> str:
+        """The pattern as written in a body: ``color(bearer, red)``."""
+        def source(term: Term) -> str:
+            if term.kind == VAR:
+                return term.value if term == BEARER else f"?{term.value}"
+            return json.dumps(term.value) if term.kind == TEXT else term.value
+
+        return f"{self.predicate}({source(self.subject)}, {source(self.object)})"
 
     def variables(self) -> tuple[str, ...]:
         out = []

@@ -157,6 +157,7 @@ class ChainInstance:
     frames: list[Frame] = field(default_factory=list)
     log: list[AppliedTransition] = field(default_factory=list)
     abort_reason: str | None = None
+    failed_guard: schemas.Pattern | None = None  # the guard a blocked ``do`` step failed at
     loop_cap: int = DEFAULT_LOOP_CAP
 
     @property
@@ -172,6 +173,13 @@ def reachable_do_steps(chain: schemas.ChainSchema) -> tuple[schemas.DoStep, ...]
     return tuple(
         step for step in schemas.walk_steps(chain.steps) if isinstance(step, schemas.DoStep)
     )
+
+
+def first_bearer(registry, kind: str | None, bound) -> str | None:
+    """The first instance id of ``bound``, (instance id, schema) pairs in
+    binding-name order, whose schema is a ``kind``."""
+    matches = (instance_id for instance_id, schema in bound if registry.is_subkind(schema, kind))
+    return next(matches, None) if kind else None
 
 
 def instantiate_chain(
@@ -204,15 +212,11 @@ def instantiate_chain(
         transitional = registry.transitional(name)
         if transitional is None:
             continue
-        kind = transitional.bearer_kind
-        for instance_id, schema in bound:
-            if kind and registry.is_subkind(schema, kind):
-                bearer_map[name] = instance_id
-                break
-        else:
-            raise MissingBindingError(
-                f"chain {chain_name!r} needs a {kind} bound for transitional {name!r}"
-            )
+        bearer = first_bearer(registry, transitional.bearer_kind, bound)
+        if bearer is None:
+            raise MissingBindingError(f"chain {chain_name!r} needs a "
+                                      f"{transitional.bearer_kind} bound for transitional {name!r}")
+        bearer_map[name] = bearer
     return ChainInstance(
         schema=chain,
         bindings=dict(bindings),
@@ -252,8 +256,10 @@ def step_chain(world, instance: ChainInstance) -> ChainInstance:
             frame.index += 1
         else:
             instance.status = ABORTED
+            instance.failed_guard = result.failed_guard
+            at = f" at {result.failed_guard}" if result.failed_guard is not None else ""
             instance.abort_reason = (
-                f"transitional {step.transitional!r} blocked: {result.reason}"
+                f"transitional {step.transitional!r} blocked: {result.reason}{at}"
             )
     elif isinstance(step, schemas.IfStep):
         taken = _condition_holds(world, instance, step.condition)

@@ -164,6 +164,23 @@ def test_rewind_restores_rebound_and_vacated_slots(corpus):
     assert _observe(world) == before
 
 
+def test_rewind_reopens_the_intervals_ended_since_the_mark(corpus):
+    world = world_from(corpus, "workshop")
+    first = world.begin_process("rehearsal", ["violinist"])
+    second = world.begin_process("rehearsal", ["maestro"])
+    before = _observe(world)
+    mark = world.mark()
+    assert world.end_process("rehearsal") == first
+    third = world.begin_process("rehearsal", ["violinist"])
+    assert world.end_process("rehearsal", ["violinist"]) == third
+    world.rewind(mark)
+    assert _observe(world) == before
+    assert world.end_process("rehearsal", ["maestro"]) == second
+    assert world.end_process("rehearsal") == first
+    with pytest.raises(XfoError, match="no open interval"):
+        world.end_process("rehearsal")
+
+
 def test_rewind_without_an_open_mark_raises(corpus):
     world = Microworld(corpus.registry)
     mark = world.mark()

@@ -21,7 +21,7 @@ from xfo.errors import (
 from xfo.microworld import Microworld, run
 from xfo.relations import RelationStore
 from xfo.schemas import Pattern, const, var
-from xfo.transitions import ABORTED, COMPLETED, PLANNED, RUNNING
+from xfo.transitions import ABORTED, COMPLETED, LOOP_CAP_REASON, PLANNED, RUNNING
 
 
 @pytest.fixture()
@@ -213,6 +213,19 @@ def test_blocked_do_aborts_and_rolls_back(corpus):
     assert chain.status == ABORTED
     assert "blocked" in chain.abort_reason
     assert world.store.fingerprint() == before
+
+
+def test_aborted_chain_keeps_the_guard_it_failed_at(corpus):
+    world = world_from(corpus, "demo")
+    world.apply("turn_green", "light")
+    chain = instantiate_chain(world, "cycle", {"light": "light"})
+    outcome = run(world, chain)
+    assert outcome.status == "aborted"
+    assert chain.failed_guard == Pattern("color", var("bearer"), const("red"))
+    assert chain.abort_reason == (
+        "transitional 'turn_green' blocked: guard failed at color(bearer, red)"
+    )
+    assert not chain.abort_reason.startswith(LOOP_CAP_REASON)
 
 
 def test_step_after_finish_raises(corpus, light_world):
