@@ -65,9 +65,9 @@ def _cone(registry: Registry, chains, levels) -> set[tuple[str, str]]:
     """The swept (instance, determinable) pairs that a run of either chain may
     read or write. The patterns in scope: every transitional a chain reaches,
     on the bearer the chain binds; every ``if``/``while`` condition; and
-    every disposition with a bearer in the world, trigger and realization, on
-    each such bearer (``run`` fires them after any step, and a trigger may
-    hold from the start). A ``bearer`` subject names those bearers, a
+    every disposition, trigger and realization, on each instance of its
+    bearer kind (``run`` fires them after any step, and a trigger may hold
+    from the start). A ``bearer`` subject names those bearers, a
     constant the instance (or role) it spells, any other variable every
     instance declaring the predicate."""
     bound = [(name, schema) for name, schema, _, _ in levels]
@@ -80,15 +80,9 @@ def _cone(registry: Registry, chains, levels) -> set[tuple[str, str]]:
                          [bearer]))
         else:
             code.append(((step.condition,), None))
-    present, unseen = set(), [schema for _, schema in bound]
-    while unseen:  # the schemas of the world's instances, parts included
-        present.add(schema := unseen.pop())
-        unseen.extend(part.schema for part in registry.object_schema(schema).parts)
     for disposition in registry.dispositions():
         kind, realization = disposition.bearer_kind, registry.transitional(disposition.realization)
-        if disposition.trigger and realization and kind and any(
-            registry.is_subkind(schema, kind) for schema in present
-        ):
+        if disposition.trigger and realization and kind:
             bearers = [name for name, schema in bound if registry.is_subkind(schema, kind)]
             code.append(((disposition.trigger, *realization.guards, *realization.deletes,
                           *realization.creates), bearers))

@@ -151,8 +151,6 @@ class Microworld:
         self.store = RelationStore(registry)
         self.clock = 0
         self.events: list[TimelineEvent] = []
-        # process name -> the indices of its open intervals' events, in begin order
-        self._open: dict[str, tuple[int, ...]] = {}
         self.rules: list[InteractionRule] = []
         self.disposition_cap = DEFAULT_DISPOSITION_CAP
         self._rng = random.Random(seed) if seed is not None else None
@@ -270,7 +268,7 @@ class Microworld:
                 f"process {process_name!r} has no alive Independent Continuant participant"
             )
         tick = self._next_tick()
-        index = self._record(
+        return self._record(
             TimelineEvent(
                 tick,
                 PROCESS_INTERVAL,
@@ -279,18 +277,18 @@ class Microworld:
                 (("end", None),),
             )
         )
-        self.store._put(self._open, process_name, self._open.get(process_name, ()) + (index,))
-        return index
 
     def end_process(self, process_name: str, participants=None) -> int:
         """Close the earliest matching open interval at the current tick."""
         wanted = tuple(sorted(participants)) if participants is not None else None
-        opened = self._open.get(process_name, ())
-        for position, index in enumerate(opened):
-            event = self.events[index]
-            if wanted is None or event.participants == wanted:
+        for index, event in enumerate(self.events):
+            if (
+                event.kind == PROCESS_INTERVAL
+                and event.name == process_name
+                and event.edit("end") is None
+                and (wanted is None or event.participants == wanted)
+            ):
                 tick = self._next_tick()
-                self.store._put(self._open, process_name, opened[:position] + opened[position + 1:])
                 if self.store.trail is not None:
                     self.store.trail.append((self.events.__setitem__, index, event))
                 self.events[index] = TimelineEvent(
@@ -464,7 +462,6 @@ class Microworld:
         other = copy.copy(self)
         other.store = self.store.clone()
         other.events = list(self.events)
-        other._open = dict(self._open)
         other.rules = list(self.rules)
         other._id_counters = dict(self._id_counters)
         if self._rng is not None:

@@ -157,7 +157,6 @@ class ChainInstance:
     frames: list[Frame] = field(default_factory=list)
     log: list[AppliedTransition] = field(default_factory=list)
     abort_reason: str | None = None
-    failed_guard: schemas.Pattern | None = None  # the guard a blocked ``do`` step failed at
     loop_cap: int = DEFAULT_LOOP_CAP
 
     @property
@@ -256,7 +255,6 @@ def step_chain(world, instance: ChainInstance) -> ChainInstance:
             frame.index += 1
         else:
             instance.status = ABORTED
-            instance.failed_guard = result.failed_guard
             at = f" at {result.failed_guard}" if result.failed_guard is not None else ""
             instance.abort_reason = (
                 f"transitional {step.transitional!r} blocked: {result.reason}{at}"
