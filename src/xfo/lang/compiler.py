@@ -8,6 +8,7 @@ surface as positioned diagnostics anchored at the offending declaration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .. import schemas
 from ..diagnostics import (
@@ -31,12 +32,17 @@ from .printer import module_to_source
 
 @dataclass(frozen=True)
 class ModuleInfo:
-    """Per-module record feeding foundry registration."""
+    """Per-module record feeding foundry registration. It keeps its module,
+    and computes the module's content ``fingerprint`` on its first read."""
 
     name: str
-    fingerprint: str
     terms: tuple[str, ...]
     facet: str
+    module: ast.SourceModule = field(compare=False, repr=False)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return module_fingerprint(self.module)
 
 
 @dataclass
@@ -178,15 +184,12 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
     diagnostics: list[Diagnostic] = []
 
     # Deduplicate by content: the same module supplied or imported twice
-    # registers once; same name with different content is an error.
-    unique: list[ast.SourceModule] = []
-    by_name: dict[str, str] = {}
+    # registers once; same name with different content is an error. Only a
+    # repeated name is fingerprinted.
+    by_name: dict[str, ast.SourceModule] = {}
     for module in modules:
-        fingerprint = module_fingerprint(module)
-        known = by_name.get(module.name)
-        if known == fingerprint:
-            continue
-        if known is not None:
+        known = by_name.setdefault(module.name, module)
+        if known is not module and module_fingerprint(known) != module_fingerprint(module):
             diagnostics.append(
                 Diagnostic(
                     ERROR,
@@ -196,14 +199,13 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
                     module.span,
                 )
             )
-            continue
-        by_name[module.name] = fingerprint
-        unique.append(module)
+    unique = by_name.values()
 
     # A declaration the parser dropped keeps its name: the syntax error is its
     # one report, so neither lowering nor resolution reports the name again.
+    terms = {module.name: module.declared_names() for module in unique}
     declared: dict[str, tuple[str, ...]] = {
-        module.name: module.declared_names() + module.dropped for module in unique
+        module.name: terms[module.name] + module.dropped for module in unique
     }
 
     determinables: dict[str, tuple[str, ...]] = {
@@ -313,9 +315,9 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
         infos.append(
             ModuleInfo(
                 name=module.name,
-                fingerprint=by_name[module.name],
-                terms=module.declared_names(),
+                terms=terms[module.name],
                 facet=module.facet or "physical",
+                module=module,
             )
         )
 

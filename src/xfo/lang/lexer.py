@@ -1,9 +1,14 @@
 """Tokenizer for .xfo source. Keywords are contextual: the lexer only emits
 identifiers, strings, and punctuation. ``#`` starts a line comment.
 
-One compiled pattern scans the source. A token is a flat record of its kind,
-text and position (line, column, offset, length); its ``Span`` is built on
-demand, for a diagnostic or a node's extent, not once per token."""
+One compiled pattern scans the source in one pass. Each match takes the
+blanks (spaces, tabs, carriage returns) before it as a prefix, so blanks cost
+no match of their own, then exactly one numbered group: 1 a newline, which
+advances the line, 2 a comment, 3 an identifier, 4 a string (5 its closing
+quote, empty when it is unterminated), 6 a punctuation mark, 7 any other
+character, which is an error. A token is a flat record of its kind, text and
+position (line, column, offset, length); its ``Span`` is built on demand, for
+a diagnostic or a node's extent, not once per token."""
 
 from __future__ import annotations
 
@@ -43,16 +48,19 @@ _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "": "\\"}
 _ESCAPE = re.compile(r"\\([\s\S]?)")
 
 # A string runs to its closing quote, else up to (not over) a newline or the
-# end of the source; an escaped newline continues it.
+# end of the source; an escaped newline continues it. Blanks at the end of the
+# source match nothing.
 _TOKEN = re.compile(
-    r"""(?P<NEWLINE>\n)
-      | (?P<SKIP>[ \t\r]+|\#[^\n]*)
-      | (?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)
-      | (?P<STRING>"(?:[^"\\\n]|\\[\s\S]?)*(?P<CLOSE>"?))
-      | (?P<PUNCT>[{}(),:=?.])
-      | (?P<OTHER>.)""",
+    r"""[ \t\r]*
+      (?: (\n)
+        | (\#[^\n]*)
+        | ([A-Za-z_][A-Za-z0-9_-]*)
+        | ("(?:[^"\\\n]|\\[\s\S]?)*("?))
+        | ([{}(),:=?.])
+        | ([^ \t\r\n]) )""",
     re.VERBOSE,
 )
+_NEWLINE, _COMMENT, _IDENT, _STRING, _CLOSE, _PUNCT_GROUP = 1, 2, 3, 4, 5, 6
 
 
 class Token(NamedTuple):
@@ -71,24 +79,25 @@ class Token(NamedTuple):
 def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
+    append = tokens.append
+    new = tuple.__new__  # a Token without the Python frame of Token.__new__
     line, line_start = 1, 0
     for match in _TOKEN.finditer(source):
-        group = match.lastgroup
-        if group == "SKIP":
+        group = match.lastindex
+        if group <= _COMMENT:
+            if group == _NEWLINE:
+                line += 1
+                line_start = match.end()
             continue
-        start, end = match.span()
-        if group == "NEWLINE":
-            line += 1
-            line_start = end
-            continue
-        text = match[0]
+        start, end = match.span(group)
+        text = match[group]
         column = start - line_start + 1
-        if group == "IDENT":
-            tokens.append(Token(IDENT, text, line, column, start, end - start))
-        elif group == "PUNCT":
-            tokens.append(Token(_PUNCT[text], text, line, column, start, 1))
-        elif group == "STRING":
-            closed = match["CLOSE"]
+        if group == _IDENT:
+            append(new(Token, (IDENT, text, line, column, start, end - start)))
+        elif group == _PUNCT_GROUP:
+            append(new(Token, (_PUNCT[text], text, line, column, start, 1)))
+        elif group == _STRING:
+            closed = match[_CLOSE]
             value = text[1 : len(text) - len(closed)]
             if "\\" in value:
                 value = _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), value)
@@ -97,7 +106,7 @@ def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diag
                     Diagnostic(ERROR, SYNTAX, "unterminated string literal", file,
                                Span(line, column, end - start, start))
                 )
-            tokens.append(Token(STRING, value, line, column, start, end - start))
+            append(new(Token, (STRING, value, line, column, start, end - start)))
             if "\n" in text:
                 line += text.count("\n")
                 line_start = start + text.rindex("\n") + 1
@@ -107,5 +116,5 @@ def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diag
                            Span(line, column, 1, start))
             )
     end = len(source)
-    tokens.append(Token(EOF, "", line, end - line_start + 1, end, 0))
+    append(new(Token, (EOF, "", line, end - line_start + 1, end, 0)))
     return tokens, diagnostics

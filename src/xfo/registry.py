@@ -1,5 +1,5 @@
-"""Schema registry: registration, resolution (inheritance flattening,
-reference checking, fingerprinting), and the post-resolve validator.
+"""Schema registry: registration, resolution (inheritance flattening and
+reference checking), and the post-resolve validator.
 
 A RegistryBuilder accumulates schemas in a single context; ``resolve`` yields
 an immutable Registry that may be shared across concurrent readers.
@@ -12,14 +12,17 @@ Resolution and validation report Findings: a diagnostic code, the schema at
 fault, a message and, for a dangling reference to a schema or predicate, the
 name it references. The compiler anchors each at its owner's declaration.
 
-The registry fingerprint is ``stable_fingerprint`` over a payload that maps
+The registry fingerprint is not a resolution step: it is computed on its
+first read and kept. It is ``stable_fingerprint`` over a payload that maps
 each schema name, in sorted order, to the schema's dataclass fields by name
 plus ``__type__``, its class name; nested schema values (slots, patterns,
-steps) are encoded by their fields alone, with no ``__type__``.
+steps) are encoded by their fields alone, with no ``__type__``. Two threads
+that read it at once may both encode it, with the same result.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, get_args
 
@@ -112,11 +115,17 @@ class SchemaIndex:
 class Registry:
     """An immutable, fully resolved set of Universals plus the kind table."""
 
-    def __init__(self, index: SchemaIndex, kind_table: kinds.KindTable, fingerprint: str):
+    def __init__(self, index: SchemaIndex, kind_table: kinds.KindTable):
         self._schemas = MappingProxyType(index.table)
         self._index = index
         self.kinds = kind_table
-        self.fingerprint = fingerprint
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return stable_fingerprint({
+            name: {**dataclass_fields(s), "__type__": type(s).__name__}
+            for name, s in sorted(self._schemas.items())
+        })
 
     # -- lookup -----------------------------------------------------------
 
@@ -292,13 +301,7 @@ class RegistryBuilder:
         self._check_predicate_names(index, findings)
         if findings:
             return None, findings
-        kind_table = self._build_kind_table(index)
-
-        payload = {
-            name: {**dataclass_fields(s), "__type__": type(s).__name__}
-            for name, s in sorted(index.table.items())
-        }
-        return Registry(index, kind_table, stable_fingerprint(payload)), []
+        return Registry(index, self._build_kind_table(index)), []
 
     def _check_inheritance_cycles(self, objects: dict, findings: list[Finding]) -> None:
         on_cycle: set[str] = set()

@@ -1,8 +1,12 @@
 from conftest import CORPUS_FILES, MODELS_DIR, load_corpus_modules
 from helpers import compile_ok, compile_sources
 
+import xfo.lang.compiler
+import xfo.registry
 from xfo import compile_modules, parse_module
+from xfo.cli import main
 from xfo.lang import ast
+from xfo.lang.compiler import module_fingerprint
 
 COMMON = "quality heat { low, high }\nobject Kiln { quality heat: heat }\n"
 
@@ -62,10 +66,12 @@ def test_shared_import_registers_once():
 
 def test_same_module_supplied_twice_deduplicates():
     module_a, _ = parse_module(COMMON, name="common")
-    module_b, _ = parse_module(COMMON, name="common")
+    module_b, _ = parse_module(COMMON.replace(" ", "  ").replace("\n", "\n\n"), name="common")
     result = compile_modules([module_a, module_b])
     assert result.ok
     assert len(result.modules) == 1
+    assert result.modules[0].fingerprint == module_fingerprint(module_a)
+    assert [s.name for s in result.registry.objects()] == ["Kiln"]
 
 
 def test_same_name_different_content_rejected():
@@ -73,7 +79,31 @@ def test_same_name_different_content_rejected():
     module_b, _ = parse_module("quality heat { low }", name="common")
     result = compile_modules([module_a, module_b])
     assert not result.ok
-    assert any(d.code == "DuplicateModule" for d in result.diagnostics)
+    assert result.registry is None
+    assert [d.code for d in result.diagnostics] == ["DuplicateModule"]
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper; the returned list grows by each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_distinct_module_names_are_not_fingerprinted(monkeypatch):
+    calls = count_calls(monkeypatch, xfo.lang.compiler, "module_fingerprint")
+    result = compile_modules(load_corpus_modules())
+    assert result.ok
+    assert calls == []
+    info = result.modules[0]
+    assert info.fingerprint == info.fingerprint == module_fingerprint(info.module)
+    assert len(calls) == 1
 
 
 def test_unimported_reference_is_dangling_with_span():
@@ -305,6 +335,21 @@ def test_a_reported_name_hides_only_findings_that_reference_it():
 
 def test_corpus_fingerprint_is_pinned(corpus):
     assert corpus.registry.fingerprint == "387a3353570b14a8"
+
+
+def test_fingerprints_are_encoded_on_first_read_only(monkeypatch, capsys):
+    encodings = [
+        count_calls(monkeypatch, owner, "stable_fingerprint")
+        for owner in (xfo.registry, xfo.lang.compiler)
+    ]
+    path = str(MODELS_DIR / "trafficlight.xfo")
+    assert main(["run", path, "--world", "demo", "--chain", "cycle"]) == 0
+    assert capsys.readouterr().out.startswith("status=completed ticks=1 ")
+    assert encodings == [[], []]
+
+    registry = compile_modules(load_corpus_modules()).registry
+    assert registry.fingerprint == registry.fingerprint == "387a3353570b14a8"
+    assert [len(calls) for calls in encodings] == [1, 0]
 
 
 def test_declaration_dropped_by_the_parser_is_reported_once():
