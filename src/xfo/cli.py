@@ -92,25 +92,12 @@ def _report(result, out, err) -> int:
     return 0
 
 
-def _cmd_compile(args, out, err) -> int:
-    result = _load(args.files)
-    code = _report(result, out, err)
-    if code != 0:
-        return code
+def _cmd_compile(args, result, out, err) -> int:
     print(result.registry.fingerprint, file=out)
     return 0
 
 
-def _cmd_validate(args, out, err) -> int:
-    result = _load(args.files)
-    return _report(result, out, err)
-
-
-def _cmd_run(args, out, err) -> int:
-    result = _load(args.files)
-    code = _report(result, out, err)
-    if code != 0:
-        return code
+def _cmd_run(args, result, out, err) -> int:
     world_def = result.world(args.world)
     if world_def is None:
         print(f"unknown world: {args.world}", file=err)
@@ -123,7 +110,10 @@ def _cmd_run(args, out, err) -> int:
     else:
         outcome = microworld.run(world, max_ticks=args.ticks)
     if args.trace:
-        Path(args.trace).write_text(world.timeline_ndjson(), encoding="utf-8")
+        try:
+            Path(args.trace).write_text(world.timeline_ndjson(), encoding="utf-8")
+        except OSError as exc:
+            raise XfoError(f"cannot write {args.trace}: {exc}") from exc
     print(
         f"status={outcome.status} ticks={outcome.ticks_used} "
         f"fingerprint={world.fingerprint()}",
@@ -147,11 +137,7 @@ def _parse_space(spec: str) -> equivalence.StateSpace:
     return equivalence.StateSpace(tuple(instances))
 
 
-def _cmd_equiv(args, out, err) -> int:
-    result = _load(args.files)
-    code = _report(result, out, err)
-    if code != 0:
-        return code
+def _cmd_equiv(args, result, out, err) -> int:
     space = _parse_space(args.space)
     verdict = equivalence.check_equivalence(
         result.registry, args.chain_a, args.chain_b, space
@@ -170,11 +156,7 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _cmd_metrics(args, out, err) -> int:
-    result = _load(args.files)
-    code = _report(result, out, err)
-    if code != 0:
-        return code
+def _cmd_metrics(args, result, out, err) -> int:
     foundry = Foundry(result.registry)
     for info in result.modules:
         foundry.register_facet(info.facet)
@@ -257,15 +239,16 @@ def _cmd_expand(args, out, err) -> int:
     return 0
 
 
-_COMMANDS = {
+# Commands over ``files`` get the compiled result once it has loaded and
+# reported no error; the others get their arguments only.
+_COMPILED_COMMANDS = {
     "compile": _cmd_compile,
-    "validate": _cmd_validate,
+    "validate": lambda args, result, out, err: 0,  # loading and reporting is all it does
     "run": _cmd_run,
     "equiv": _cmd_equiv,
     "metrics": _cmd_metrics,
-    "inus": _cmd_inus,
-    "expand": _cmd_expand,
 }
+_COMMANDS = {"inus": _cmd_inus, "expand": _cmd_expand}
 
 
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
@@ -276,7 +259,12 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args, out, err)
+        if args.command in _COMMANDS:
+            return _COMMANDS[args.command](args, out, err)
+        result = _load(args.files)
+        return _report(result, out, err) or _COMPILED_COMMANDS[args.command](
+            args, result, out, err
+        )
     except XfoError as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -8,6 +8,12 @@ The store checks each unit whole before writing it, so a unit that raises
 or blocks leaves the store, the clock and the timeline as they were.
 ``mark`` and ``rewind`` undo whole sequences of units: a search that tries
 and takes back moves walks one world instead of copying it per state.
+
+Two production systems drive transitions. Dispositions fire sure-fire, to
+fixpoint, after every applied step: in declaration order over their alive
+bearers in id order. Interaction rules fire one at a time, over participant
+tuples in rule-declaration then id order, the most specific matching rule
+first.
 """
 
 from __future__ import annotations
@@ -158,10 +164,6 @@ class Microworld:
 
     # -- identity and time ----------------------------------------------------
 
-    def _next_tick(self) -> int:
-        self.clock += 1
-        return self.clock
-
     def new_id(self, base: str) -> str:
         base = base.lower()
         trail, rng, counters = self.store.trail, self._rng, self._id_counters
@@ -176,10 +178,6 @@ class Microworld:
                 candidate = f"{base}-{count}"
             if not self.store.has_instance(candidate):
                 return candidate
-
-    def _record(self, event: TimelineEvent) -> int:
-        self.events.append(event)
-        return len(self.events) - 1
 
     # -- spawning -----------------------------------------------------------------
 
@@ -205,7 +203,7 @@ class Microworld:
         self.clock = tick
         edits = (("qualities", tuple(sorted(given.items()))), ("location", location))
         for record in records:  # the root, then its parts, which have neither
-            self._record(TimelineEvent(tick, SPAWN, record.schema, (record.id,), edits))
+            self.events.append(TimelineEvent(tick, SPAWN, record.schema, (record.id,), edits))
             edits = (("qualities", ()), ("location", None))
         return records[0].id
 
@@ -220,7 +218,9 @@ class Microworld:
             aggregate, member_id, slot, tick, instance_id, self.new_id
         )
         self.clock = tick
-        self._record(TimelineEvent(tick, SPAWN, schema_name, (view.id,), (("member", member_id),)))
+        self.events.append(
+            TimelineEvent(tick, SPAWN, schema_name, (view.id,), (("member", member_id),))
+        )
         return view
 
     def bind_member(self, instance_id: str, slot: str, member_id: str) -> None:
@@ -247,7 +247,7 @@ class Microworld:
         destroyed = self.store.destroy_instance(instance_id, tick)
         self.clock = tick
         ids = tuple(destroyed)
-        self._record(TimelineEvent(tick, DESTROY, instance_id, ids, (("destroyed", ids),)))
+        self.events.append(TimelineEvent(tick, DESTROY, instance_id, ids, (("destroyed", ids),)))
         return destroyed
 
     # -- processes -----------------------------------------------------------------------
@@ -256,27 +256,17 @@ class Microworld:
         """Open a process interval. At least one participant must be an alive
         Independent Continuant."""
         participants = tuple(participants)
-        alive_ic = [
-            p
-            for p in participants
-            if self.store.has_instance(p)
-            and self.store.instance(p).alive
-            and self.store.is_independent_continuant(p)
-        ]
-        if not alive_ic:
+        if not any(self.store.has_instance(p) and self.store.instance(p).alive
+                   and self.store.is_independent_continuant(p) for p in participants):
             raise NoIndependentContinuantParticipantError(
                 f"process {process_name!r} has no alive Independent Continuant participant"
             )
-        tick = self._next_tick()
-        return self._record(
-            TimelineEvent(
-                tick,
-                PROCESS_INTERVAL,
-                process_name,
-                tuple(sorted(participants)),
-                (("end", None),),
-            )
-        )
+        self.clock += 1
+        self.events.append(TimelineEvent(
+            self.clock, PROCESS_INTERVAL, process_name, tuple(sorted(participants)),
+            (("end", None),),
+        ))
+        return len(self.events) - 1
 
     def end_process(self, process_name: str, participants=None) -> int:
         """Close the earliest matching open interval at the current tick."""
@@ -288,11 +278,11 @@ class Microworld:
                 and event.edit("end") is None
                 and (wanted is None or event.participants == wanted)
             ):
-                tick = self._next_tick()
+                self.clock += 1
                 if self.store.trail is not None:
                     self.store.trail.append((self.events.__setitem__, index, event))
                 self.events[index] = TimelineEvent(
-                    event.tick, event.kind, event.name, event.participants, (("end", tick),)
+                    event.tick, event.kind, event.name, event.participants, (("end", self.clock),)
                 )
                 return index
         raise NoOpenIntervalError(f"no open interval for process {process_name!r}")
@@ -308,59 +298,50 @@ class Microworld:
         result = transitions.apply_transitional(self.store, transitional, bearer, tick)
         if isinstance(result, transitions.AppliedTransition):
             self.clock = tick
-            self._record(
-                TimelineEvent(
-                    tick,
-                    TRANSITION,
-                    transitional_name,
-                    (bearer,),
-                    (("deletes", result.deletes), ("creates", result.creates)),
-                )
-            )
+            self.events.append(TimelineEvent(
+                tick, TRANSITION, transitional_name, (bearer,),
+                (("deletes", result.deletes), ("creates", result.creates)),
+            ))
         return result
+
+    def _triggered(self, blocked: set[tuple[str, str]]):
+        """The (disposition, bearer) pairs outside ``blocked`` whose trigger
+        holds: dispositions in declaration order, bearers in id order."""
+        for disposition in self.registry.dispositions():
+            if (disposition.trigger is None or disposition.realization is None
+                    or disposition.bearer_kind is None):
+                continue
+            for bearer in self.store.alive_of_kind(disposition.bearer_kind):
+                if (disposition.name, bearer) not in blocked and self.store.matches(
+                    disposition.trigger, bindings={"bearer": bearer}
+                ):
+                    yield disposition, bearer
 
     def fire_dispositions(self) -> list[DispositionFiring]:
         """Fire every triggered disposition, sure-fire, to fixpoint.
 
-        After each firing the scan restarts so cascades fire in a stable
-        order. A (disposition, bearer) pair whose realization blocks is
-        skipped for the rest of the call. Raises DispositionCascadeOverflow
-        past the cap.
+        Each firing is the first triggered pair of ``_triggered``'s scan, which
+        restarts after it, so cascades fire in a stable order. A (disposition,
+        bearer) pair whose realization blocks is skipped for the rest of the
+        call. Raises DispositionCascadeOverflow past the cap.
         """
         fired: list[DispositionFiring] = []
         blocked: set[tuple[str, str]] = set()
-        progressed = True
-        while progressed:
-            progressed = False
-            for disposition in self.registry.dispositions():
-                if disposition.trigger is None or disposition.realization is None:
-                    continue
-                if disposition.bearer_kind is None:
-                    continue
-                for bearer in self.store.alive_of_kind(disposition.bearer_kind):
-                    if (disposition.name, bearer) in blocked:
-                        continue
-                    if not self.store.matches(
-                        disposition.trigger, bindings={"bearer": bearer}
-                    ):
-                        continue
-                    result = self.apply(disposition.realization, bearer)
-                    if isinstance(result, transitions.AppliedTransition):
-                        fired.append(
-                            DispositionFiring(
-                                disposition.name, bearer, result.tick, result.transitional
-                            )
+        while True:
+            for disposition, bearer in self._triggered(blocked):
+                result = self.apply(disposition.realization, bearer)
+                if isinstance(result, transitions.AppliedTransition):
+                    fired.append(DispositionFiring(
+                        disposition.name, bearer, result.tick, result.transitional
+                    ))
+                    if len(fired) > self.disposition_cap:
+                        raise DispositionCascadeOverflowError(
+                            f"disposition cascade exceeded {self.disposition_cap} firings"
                         )
-                        if len(fired) > self.disposition_cap:
-                            raise DispositionCascadeOverflowError(
-                                f"disposition cascade exceeded {self.disposition_cap} firings"
-                            )
-                        progressed = True
-                        break
-                    blocked.add((disposition.name, bearer))
-                if progressed:
                     break
-        return fired
+                blocked.add((disposition.name, bearer))
+            else:
+                return fired
 
     # -- interaction rules ----------------------------------------------------------------------
 
@@ -368,12 +349,6 @@ class Microworld:
         self, kinds: tuple[str, ...], guard: schemas.Pattern | None, transitional: str
     ) -> None:
         self.rules.append(InteractionRule(tuple(kinds), guard, transitional))
-
-    def _guard_holds(self, rule: InteractionRule, participants: tuple[str, ...]) -> bool:
-        if rule.guard is None:
-            return True
-        bindings = {f"p{i}": instance_id for i, instance_id in enumerate(participants, 1)}
-        return self.store.matches(rule.guard, bindings=bindings)
 
     def fire_one_interaction(self):
         """Fire the first applicable interaction rule.
@@ -386,13 +361,17 @@ class Microworld:
         falling back to less specific rules when a realization blocks.
         Returns the applied transition, or None when nothing can fire."""
         registry, store = self.registry, self.store
+
+        def holds(rule: InteractionRule, combo: tuple[str, ...]) -> bool:
+            if rule.guard is None:
+                return True
+            return store.matches(rule.guard, bindings={f"p{i}": p for i, p in enumerate(combo, 1)})
+
         attempted: set[tuple[str, ...]] = set()
         for index, rule in enumerate(self.rules):
             pools = [store.alive_of_kind(kind) for kind in rule.kinds]
             for combo in itertools.product(*pools):
-                if combo in attempted or len(set(combo)) != len(combo):
-                    continue
-                if not self._guard_holds(rule, combo):
+                if combo in attempted or len(set(combo)) != len(combo) or not holds(rule, combo):
                     continue
                 attempted.add(combo)
                 kinds = [store.instance(instance_id).schema for instance_id in combo]
@@ -401,19 +380,18 @@ class Microworld:
                     for later in self.rules[index + 1:]
                     if len(later.kinds) == len(combo)
                     and all(map(registry.is_subkind, kinds, later.kinds))
-                    and self._guard_holds(later, combo)
+                    and holds(later, combo)
                 ]
                 matching.sort(key=lambda r: -sum(len(registry.kinds.paths[k]) for k in r.kinds))
                 for candidate in matching:
                     transitional = registry.transitional(candidate.transitional)
-                    if transitional is None or transitional.bearer_kind is None:
-                        continue
-                    for bearer, kind in zip(combo, kinds):
-                        if registry.is_subkind(kind, transitional.bearer_kind):
-                            result = self.apply(candidate.transitional, bearer)
-                            if isinstance(result, transitions.AppliedTransition):
-                                return result
-                            break
+                    bearer = transitional and transitions.first_bearer(
+                        registry, transitional.bearer_kind, zip(combo, kinds)
+                    )
+                    if bearer is not None:
+                        result = self.apply(candidate.transitional, bearer)
+                        if isinstance(result, transitions.AppliedTransition):
+                            return result
         return None
 
     # -- timeline export --------------------------------------------------------------------------
@@ -509,43 +487,32 @@ def run(world: Microworld, chain: transitions.ChainInstance | None = None,
     """Run a chain instance, or (without one) the interaction rules.
 
     Steps until completion, quiescence, or the tick budget; after every
-    applied transitional, dispositions fire to fixpoint. On budget exhaustion
-    the world state so far is still returned.
+    applied transitional, dispositions fire to fixpoint. A chain that has
+    finished reports its end even when the budget is spent. On budget
+    exhaustion the world state so far is still returned.
     """
     if max_ticks <= 0:
         raise XfoError("max_ticks must be positive")
     start_clock = world.clock
     start_events = len(world.events)
     applied: list = []
-
-    def budget_left() -> bool:
-        return world.clock - start_clock < max_ticks
-
-    if chain is not None:
-        status = None
-        while not chain.finished:
-            if not budget_left():
-                status = TICK_BUDGET_EXHAUSTED
-                break
+    status = None
+    while status is None:
+        if chain is not None and chain.finished:
+            status = COMPLETED if chain.status == transitions.COMPLETED else ABORTED
+        elif world.clock - start_clock >= max_ticks:
+            status = TICK_BUDGET_EXHAUSTED
+        elif chain is not None:
             before = len(chain.log)
             transitions.step_chain(world, chain)
             if len(chain.log) > before:
                 applied.append(chain.log[-1])
                 world.fire_dispositions()
-        if status is None:
-            status = COMPLETED if chain.status == transitions.COMPLETED else ABORTED
-    else:
-        while True:
-            if not budget_left():
-                status = TICK_BUDGET_EXHAUSTED
-                break
-            result = world.fire_one_interaction()
-            if result is None:
-                status = QUIESCENT
-                break
+        elif (result := world.fire_one_interaction()) is None:
+            status = QUIESCENT
+        else:
             applied.append(result)
             world.fire_dispositions()
-
     return RunResult(
         status=status,
         world=world,

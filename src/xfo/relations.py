@@ -25,7 +25,6 @@ its matching slice. The first order also maps each live triple to its record.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -545,10 +544,7 @@ class RelationStore:
         """Fill ``slot`` as one unit: create the triples the filled slots
         imply and retract those they stop implying, unless another live
         aggregate implies them too."""
-        record = self.instance(instance_id)
-        aggregate = self.registry.aggregate(record.schema)
-        if aggregate is None or record.slots is None:
-            raise SlotTypeMismatchError(f"{instance_id!r} is not an aggregate instance")
+        record, aggregate = self._aggregate_of(instance_id)
         self._check_member(aggregate, slot, member_id)
         creates = _slot_triples(aggregate, instance_id, {**record.slots, slot: member_id})
         dropped = [key for key in _slot_triples(aggregate, instance_id, record.slots)
@@ -585,11 +581,15 @@ class RelationStore:
         if not member.alive:
             raise SubjectDestroyedError(f"subject {member_id!r} is destroyed")
 
-    def aggregate_view(self, instance_id: str) -> AggregateInstance:
+    def _aggregate_of(self, instance_id: str) -> tuple[InstanceRecord, schemas.AggregateSchema]:
         record = self.instance(instance_id)
         aggregate = self.registry.aggregate(record.schema)
         if aggregate is None or record.slots is None:
             raise SlotTypeMismatchError(f"{instance_id!r} is not an aggregate instance")
+        return record, aggregate
+
+    def aggregate_view(self, instance_id: str) -> AggregateInstance:
+        record, aggregate = self._aggregate_of(instance_id)
         return AggregateInstance(
             id=record.id,
             schema=record.schema,
@@ -615,20 +615,10 @@ class RelationStore:
 
         wholes = self._by_object.get(PART_OF, _EMPTY)
         order = [instance_id]
-        seen = {instance_id}
-        queue = deque(order)
-        while queue:
-            whole = queue.popleft()
-            children = sorted(
-                part
-                for part in wholes.get(whole, ())
-                if self.linkage(part, whole) == schemas.COMPOSITION
-            )
-            for part in children:
-                if part not in seen:
-                    seen.add(part)
-                    order.append(part)
-                    queue.append(part)
+        for whole in order:  # breadth first: the list grows as it is walked
+            order += sorted(part for part in wholes.get(whole, ())
+                            if part not in order
+                            and self.linkage(part, whole) == schemas.COMPOSITION)
 
         gone = set(order)
         touched: set[tuple[str, str, str]] = set()

@@ -74,6 +74,19 @@ def test_run_trace_ends_with_green(tmp_path):
     assert ["light", "color", "green"] in last["edits"]["creates"]
 
 
+def test_run_trace_to_an_unwritable_path_is_one_error_line(tmp_path):
+    trace = tmp_path / "missing-dir" / "t.ndjson"
+    code, out, err = invoke(
+        ["run", str(MODELS_DIR / "trafficlight.xfo"), "--world", "demo", "--chain", "cycle",
+         "--trace", str(trace)]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {trace}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_run_unknown_world_exits_one():
     code, _, err = invoke(
         ["run", str(MODELS_DIR / "trafficlight.xfo"), "--world", "nowhere"]
