@@ -14,7 +14,7 @@ from . import equivalence, microworld, transitions
 from .diagnostics import format_diagnostics, has_errors
 from .discourse import CausalField, check_inus
 from .errors import XfoError
-from .foundry import Foundry, OntologyModuleRecord
+from .foundry import Foundry
 from .lang import compile_modules, expand_activity_family, parse_module
 
 
@@ -76,8 +76,6 @@ def _load(paths: list[str]):
     parse_diagnostics = [d for _, diags in modules for d in diags]
     result = compile_modules([m for m, _ in modules])
     result.diagnostics = parse_diagnostics + result.diagnostics
-    if parse_diagnostics and result.registry is not None and has_errors(parse_diagnostics):
-        result.registry = None
     return result
 
 
@@ -160,9 +158,7 @@ def _cmd_metrics(args, result, out, err) -> int:
     foundry = Foundry(result.registry)
     for info in result.modules:
         foundry.register_facet(info.facet)
-        foundry.register_module(
-            OntologyModuleRecord(info.name, info.fingerprint, info.terms, info.facet)
-        )
+        foundry.register_module(info)
     emitted = False
     if args.orthogonality:
         module_a, module_b = args.orthogonality

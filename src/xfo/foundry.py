@@ -51,7 +51,8 @@ class Foundry:
 
     def register_module(self, record: OntologyModuleRecord) -> "Foundry":
         """Add a module. Re-registering identical content is idempotent;
-        the same name with a different fingerprint is rejected."""
+        the same name with a different fingerprint is rejected. Only then is
+        ``record.fingerprint`` read, so a lazy ``ModuleInfo`` will do."""
         if record.facet not in self._facets:
             raise UnknownFacetError(f"facet {record.facet!r} is not registered")
         existing = self._modules.get(record.name)

@@ -9,13 +9,14 @@ inverses newest first puts the store back exactly as it was. While ``trail``
 is None, writes record nothing. Besides instance and triple writes, every
 undoable write (aggregate slots, part linkages, the world's id counters) is
 a dict write through ``_put``. An aggregate's slots are the one record of
-its membership: ``_slot_triples`` says which triples they imply.
+its membership and the only writer of ``member_of``: ``_slot_triples`` says
+which triples they imply.
 
 The store owns every world unit: it checks all a unit will write, once,
 before it writes any of it, so a unit that raises leaves the store as it was.
-``spawn`` checks a whole part tree in one walk; ``apply_unit`` checks a
-transitional's or an aggregate binding's deletes and creates against the
-post-delete view. Neither checks its writes again.
+``spawn`` checks a whole part tree in one walk; ``_write_unit`` checks a
+transitional's, a direct edit's or an aggregate binding's deletes and creates
+against the post-delete view. Neither checks its writes again.
 
 Live triples are indexed in two orders, predicate -> subject -> objects and
 predicate -> object -> subjects (the hexastore idea, cut down to the orders
@@ -45,7 +46,7 @@ from .errors import (
     UnknownInstanceError,
 )
 from .fingerprint import streamed_fingerprint
-from .kinds import INDEPENDENT_CONTINUANT, OBJECT_AGGREGATE
+from .kinds import INDEPENDENT_CONTINUANT
 from .registry import BUILTIN_PREDICATES, Registry
 
 PART_OF = "part_of"
@@ -114,8 +115,6 @@ class RelationStore:
         self._instances: dict[str, InstanceRecord] = {}
         self._alive: dict[str, set[str]] = {}  # schema -> ids of its alive instances
         self._link_meta: dict[tuple[str, str], str] = {}  # (part, whole) -> linkage
-        # The kinds aggregate slots declare; destroying no instance of one unbinds no slot.
-        self._member_kinds = frozenset(m.schema for a in registry.aggregates() for m in a.members)
         self.trail: list[tuple] | None = None  # inverses of writes, (function, *args)
 
     # -- instances ------------------------------------------------------------
@@ -307,10 +306,6 @@ class RelationStore:
                 raise KindMismatchError(
                     f"object of {predicate!r} must be a live instance, got {obj!r}"
                 )
-            if predicate == MEMBER_OF and not registry.is_subkind(
-                target.schema, OBJECT_AGGREGATE
-            ):
-                raise KindMismatchError(f"{obj!r} is not an aggregate instance")
         elif predicate == HAS_ROLE:
             role = registry.realizable(obj)
             if role is None or role.variant != schemas.ROLE:
@@ -345,7 +340,16 @@ class RelationStore:
         unit is checked against the post-delete view before anything mutates,
         so a unit that raises leaves the store untouched. A create of a live
         triple the unit does not delete is a no-op. Returns the creates added.
+        ``member_of`` belongs to aggregate slots: a unit that edits it raises.
         """
+        for _, predicate, _ in (*deletes, *creates):
+            if predicate == MEMBER_OF:
+                raise SlotTypeMismatchError(f"{MEMBER_OF!r} is written only by aggregate slots")
+        return self._write_unit(deletes, creates, tick)
+
+    def _write_unit(self, deletes: Sequence[tuple[str, str, str]],
+                    creates: Sequence[tuple[str, str, str]], tick: int) -> list[tuple[str, str, str]]:
+        """``apply_unit`` for any predicate, ``member_of`` included."""
         added = self._check_unit(deletes, creates)
         for key in deletes:
             self._retract(*key, tick)
@@ -549,7 +553,7 @@ class RelationStore:
         creates = _slot_triples(aggregate, instance_id, {**record.slots, slot: member_id})
         dropped = [key for key in _slot_triples(aggregate, instance_id, record.slots)
                    if key not in creates]
-        self.apply_unit(self._orphans(dropped, {instance_id}), creates, tick)
+        self._write_unit(self._orphans(dropped, {instance_id}), creates, tick)
         self._put(record.slots, slot, member_id)
 
     def _orphans(self, keys: list[tuple[str, str, str]],
@@ -607,7 +611,8 @@ class RelationStore:
         destroyed id is retracted at ``tick``, and so is each link a destroyed
         aggregate implies that no live aggregate implies too. Every slot of a
         destroyed aggregate, and every slot of a live one that held a
-        destroyed member, becomes unbound. Returns ids in traversal order.
+        destroyed member (its live ``member_of`` names each), becomes unbound.
+        Returns ids in traversal order.
         """
         root = self.instance(instance_id)
         if not root.alive:
@@ -623,8 +628,9 @@ class RelationStore:
         gone = set(order)
         touched: set[tuple[str, str, str]] = set()
         implied: list[tuple[str, str, str]] = []
-        holders: list[str] = []  # aggregates whose slots may hold a destroyed id
+        holders: list[str] = []  # aggregates whose slots hold a destroyed id
         for dest in order:
+            holders += self._objects(dest, MEMBER_OF)
             record = self._instances[dest]
             record.destroyed_at = tick
             _discard(self._alive, record.schema, dest)
@@ -641,9 +647,6 @@ class RelationStore:
         for key in sorted(touched):
             self._retract(*key, tick)
         # A destroyed aggregate holds nothing, and no live one holds a destroyed member.
-        paths = self.registry.kinds.paths
-        if any(self._member_kinds.intersection(paths[self._instances[d].schema]) for d in order):
-            holders += self.alive_of_kind(OBJECT_AGGREGATE)
         for holder in holders:
             slots = self._instances[holder].slots
             for slot, member in slots.items():

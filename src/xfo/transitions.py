@@ -231,21 +231,14 @@ def step_chain(world, instance: ChainInstance) -> ChainInstance:
     ``do`` applies its transitional (a blocked transitional aborts the chain,
     leaving state as it was before the step); ``if`` evaluates and descends;
     ``while`` re-evaluates before each iteration and aborts past the loop cap.
-    Past the last step the instance completes.
+    A step that leaves no step to run completes the instance, as does the
+    first call on a chain with no steps.
     """
     if instance.finished:
         raise ChainAlreadyFinishedError(f"chain {instance.schema.name!r} already finished")
-    if instance.status == PLANNED:
-        instance.status = RUNNING
-
-    while instance.frames and instance.frames[-1].index >= len(instance.frames[-1].steps):
-        instance.frames.pop()
-    if not instance.frames:
-        instance.status = COMPLETED
-        return instance
-
-    frame = instance.frames[-1]
-    step = frame.steps[frame.index]
+    instance.status = RUNNING
+    frame = instance.frames[-1] if instance.frames else Frame(())
+    step = frame.steps[frame.index] if frame.index < len(frame.steps) else None
 
     if isinstance(step, schemas.DoStep):
         bearer = instance.bearer_map[step.transitional]
@@ -280,6 +273,10 @@ def step_chain(world, instance: ChainInstance) -> ChainInstance:
         else:
             frame.loop_counts[frame.index] = 0
             frame.index += 1
+    while instance.frames and instance.frames[-1].index >= len(instance.frames[-1].steps):
+        instance.frames.pop()
+    if not instance.frames and instance.status == RUNNING:
+        instance.status = COMPLETED
     return instance
 
 

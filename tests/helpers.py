@@ -1,4 +1,4 @@
-"""Shared test plumbing: compile inline sources, build scratch worlds."""
+"""Shared test plumbing: compile inline sources, build scratch worlds, count calls."""
 
 from xfo import build_world, compile_modules, format_diagnostics, parse_module
 
@@ -31,3 +31,16 @@ def world_from(corpus_result, world_name, seed=None):
     world_def = corpus_result.world(world_name)
     assert world_def is not None, f"no world {world_name!r}"
     return build_world(corpus_result.registry, world_def, seed=seed)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper; the returned list grows by each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -2,20 +2,24 @@
 
 Random spawns, instantiations, bindings, rebindings and destructions of
 members and of aggregates run on the guild model (one link is narrower than
-the slots it joins, one joins a slot to itself) and on the corpus orchestra.
-No unit asserts or retracts a relation directly. After every unit, the live
-``member_of`` and link triples are exactly those the live aggregates' slots
-imply, so destroying or rebinding never leaves a triple behind.
+the slots it joins, one joins a slot to itself) and on the corpus orchestra,
+mixed with direct ``member_of`` assertions and retractions, which must raise
+and change nothing. After every unit, the live ``member_of`` and link triples
+are exactly those the live aggregates' slots imply, so destroying or
+rebinding never leaves a triple behind.
 """
 
-from helpers import world_from
+import pytest
+from helpers import count_calls, world_from
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_unit_atomicity import REGISTRIES
 
-from xfo.errors import XfoError
+from xfo import transitions
+from xfo.errors import SlotTypeMismatchError, XfoError
 from xfo.microworld import Microworld
-from xfo.relations import MEMBER_OF, _slot_triples
+from xfo.relations import MEMBER_OF, RelationStore, _slot_triples
+from xfo.schemas import Edit, Pattern, TransitionalSchema, const, var
 
 CORPUS, GUILD = REGISTRIES
 # (registry, the aggregates units instantiate, the kinds spawns make)
@@ -42,14 +46,31 @@ def _aggregates(world, alive=True):
     return [r for r in world.store.instances() if r.slots is not None and r.alive == alive]
 
 
+def _direct_edit(world, draw, create):
+    """A direct member_of edit: it raises and leaves the world as it was."""
+    ids = [r.id for r in world.store.instances()]
+    live = sorted(key for key in world.store.live_set() if key[1] == MEMBER_OF)
+    if create or not live:
+        edit, key = world.assert_relation, (draw(st.sampled_from(ids)), MEMBER_OF,
+                                            draw(st.sampled_from(ids)))
+    else:
+        edit, key = world.retract_relation, draw(st.sampled_from(live))
+    before = (world.fingerprint(), world.clock, list(world.events))
+    with pytest.raises(SlotTypeMismatchError, match="'member_of' is written only by aggregate"):
+        edit(*key)
+    assert (world.fingerprint(), world.clock, list(world.events)) == before
+
+
 def _unit(world, draw, aggregates, kinds):
     registry, store = world.registry, world.store
     members = [i for kind in kinds for i in store.alive_of_kind(kind)
                if store.instance(i).schema == kind]
     op = draw(st.sampled_from(("spawn", "instantiate", "bind", "rebind", "destroy member",
-                               "destroy aggregate")))
+                               "destroy aggregate", "assert member_of", "retract member_of")))
     if op == "spawn" or not members:
         world.spawn(draw(st.sampled_from(kinds)))
+    elif op.endswith("member_of"):
+        _direct_edit(world, draw, op == "assert member_of")
     elif op == "instantiate":
         aggregate = registry.aggregate(draw(st.sampled_from(aggregates)))
         slot = draw(st.sampled_from(aggregate.members)).slot
@@ -112,3 +133,47 @@ def test_a_rebind_retracts_the_links_through_the_slot_though_the_old_member_stay
     assert _joined(world) == {("m", MEMBER_OF, "g"), ("m", "trains", "m")}
     world.bind_member("g", "aide", "p")
     assert _joined(world) == {("m", MEMBER_OF, "g"), ("p", MEMBER_OF, "g"), ("m", "trains", "p")}
+
+
+def test_a_shared_link_outlives_a_destroyed_orchestra_whatever_is_edited_directly(corpus):
+    world = world_from(corpus, "workshop")
+    for orchestra in ("o1", "o2"):
+        world.instantiate_aggregate("Orchestra", "violinist", "strings", instance_id=orchestra)
+        world.bind_member(orchestra, "conductor", "maestro")
+    # Unbinding o2's members behind its slots' back would orphan the link o2 implies.
+    for member in ("violinist", "maestro"):
+        with pytest.raises(SlotTypeMismatchError):
+            world.retract_relation(member, MEMBER_OF, "o2")
+    world.destroy("o1")
+    assert ("violinist", "performs_with", "maestro") in world.store
+    assert dict(world.store.aggregate_view("o2").slots)["strings"] == "violinist"
+    assert _joined(world) == _implied(world)
+
+
+def test_destroying_a_member_reads_its_holders_without_listing_live_aggregates(
+        corpus, monkeypatch):
+    world = world_from(corpus, "workshop")
+    for orchestra in ("o1", "o2"):
+        world.instantiate_aggregate("Orchestra", "violinist", "strings", instance_id=orchestra)
+    world.bind_member("o2", "conductor", "maestro")
+    calls = count_calls(monkeypatch, RelationStore, "alive_of_kind")
+    world.destroy("violinist")
+    assert calls == []
+    assert {member for _, member in world.store.aggregate_view("o1").slots} == {None}
+    assert dict(world.store.aggregate_view("o2").slots)["conductor"] == "maestro"
+    assert _joined(world) == _implied(world) == {("maestro", MEMBER_OF, "o2")}
+
+
+def test_a_transitional_that_edits_member_of_blocks_with_the_store_unchanged():
+    world = Microworld(GUILD)
+    world.spawn("Person", instance_id="p")
+    world.instantiate_aggregate("Guild", "p", "aide", instance_id="g")
+    world.spawn("Person", instance_id="q")
+    for op, subject in (("delete", var("bearer")), ("create", const("q"))):
+        transitional = TransitionalSchema("edit", "Person", (), (
+            Edit(op, Pattern(MEMBER_OF, subject, const("g"))),))
+        before = world.store.fingerprint()
+        result = transitions.apply_transitional(world.store, transitional, "p", world.clock + 1)
+        assert result == transitions.BlockedTransition(
+            "edit", "p", None, "'member_of' is written only by aggregate slots")
+        assert world.store.fingerprint() == before

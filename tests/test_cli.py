@@ -2,7 +2,9 @@ import io
 import json
 
 from conftest import CORPUS_FILES, MODELS_DIR
+from helpers import count_calls
 
+import xfo.lang.compiler
 from xfo.cli import main
 
 CORPUS_PATHS = [str(MODELS_DIR / name) for name in CORPUS_FILES]
@@ -173,6 +175,14 @@ def test_metrics_lines_are_tab_separated():
     assert lines[0] == "orthogonality\ttrafficlight windshield\t1.0"
     assert lines[1] == "specificity\tCeladonDropper\t3"
     assert lines[2] == "exhaustivity\tglaze_color,moisture,calligrapher\t2"
+
+
+def test_metrics_computes_no_module_fingerprint(monkeypatch):
+    # Module names are distinct once compiled, so no fingerprint is compared.
+    calls = count_calls(monkeypatch, xfo.lang.compiler, "module_fingerprint")
+    code, out, _ = invoke(["metrics", *CORPUS_PATHS, "--specificity", "TrafficLight"])
+    assert (code, out) == (0, "specificity\tTrafficLight\t1\n")
+    assert calls == []
 
 
 def test_metrics_without_request_is_usage_error():

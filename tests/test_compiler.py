@@ -1,5 +1,5 @@
 from conftest import CORPUS_FILES, MODELS_DIR, load_corpus_modules
-from helpers import compile_ok, compile_sources
+from helpers import compile_ok, compile_sources, count_calls
 
 import xfo.lang.compiler
 import xfo.registry
@@ -81,19 +81,6 @@ def test_same_name_different_content_rejected():
     assert not result.ok
     assert result.registry is None
     assert [d.code for d in result.diagnostics] == ["DuplicateModule"]
-
-
-def count_calls(monkeypatch, owner, name):
-    """Replace ``owner.name`` by a wrapper; the returned list grows by each call's arguments."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 def test_distinct_module_names_are_not_fingerprinted(monkeypatch):

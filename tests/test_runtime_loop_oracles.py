@@ -354,12 +354,12 @@ def test_the_model_reaches_each_status_and_the_cap():
     """Each run status and the cascade cap are reachable, so the comparison
     above is not vacuous."""
     redden_green = [(("Lamp",), Pattern("hue", var("p1"), const("green")), "redden")]
-    # A chain completes on the step past its last one, which takes no tick but
-    # comes after the budget check: a chain whose last step spends the budget
-    # ends exhausted, with every step applied.
+    # A chain completes with the step that leaves no step to run, so a chain
+    # whose last step spends the budget completes; one with a step left over
+    # is exhausted.
     cases = [  # (chain, chain mode, rules, max_ticks) -> (status, steps applied, ticks)
         (("do switch_on\ndo redden", True, [], 3), (COMPLETED, 2, 2)),
-        (("do switch_on\ndo redden", True, [], 2), (TICK_BUDGET_EXHAUSTED, 2, 2)),
+        (("do switch_on\ndo redden", True, [], 2), (COMPLETED, 2, 2)),
         (("do switch_on\ndo redden", True, [], 1), (TICK_BUDGET_EXHAUSTED, 1, 1)),
         (("do switch_off", True, [], 8), (ABORTED, 0, 0)),
         (("do ring", False, redden_green, 8), (QUIESCENT, 1, 1)),

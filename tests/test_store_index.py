@@ -5,10 +5,11 @@ kinds. After every step, the indexed answers must equal a brute-force oracle
 that reads nothing but ``store.records`` and the instance table.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xfo.errors import FunctionalConflictError, XfoError
+from xfo.errors import FunctionalConflictError, SlotTypeMismatchError, XfoError
 from xfo.microworld import Microworld
 from xfo.schemas import VAR, Pattern, const, var
 
@@ -119,7 +120,15 @@ def _step(world, data):
     elif op == "retract":
         live = sorted(oracle_live(store))
         if live:
-            world.retract_relation(*data.draw(st.sampled_from(live)))
+            key = data.draw(st.sampled_from(live))
+            if key[1] != "member_of":
+                world.retract_relation(*key)
+                return
+            # Only aggregate slots write member_of: a direct retraction changes nothing.
+            before = (world.fingerprint(), world.clock)
+            with pytest.raises(SlotTypeMismatchError, match="'member_of'"):
+                world.retract_relation(*key)
+            assert (world.fingerprint(), world.clock) == before
     elif op == "apply":
         bearer = data.draw(st.sampled_from(alive))
         try:

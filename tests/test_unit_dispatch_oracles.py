@@ -117,6 +117,11 @@ def oracle_apply_transitional(store, transitional, bearer, tick):
             ground = (value(pattern.subject), pattern.predicate, value(pattern.object))
             if ground not in out:
                 out.append(ground)
+    # Only aggregate slots write member_of: a unit that edits it blocks unchecked.
+    if any(predicate == "member_of" for _, predicate, _ in deletes + creates):
+        return transitions.BlockedTransition(
+            transitional.name, bearer, None, "'member_of' is written only by aggregate slots"
+        )
     for ground in deletes:
         if ground not in store:
             return transitions.BlockedTransition(
