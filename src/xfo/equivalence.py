@@ -123,12 +123,15 @@ def check_equivalence(
     with that axis at its first value, which comes no later. The first
     differing state is thus found, and ``states_checked`` is its place.
 
-    The sweep walks the states depth first through one world, one instance
-    per level: each instance is spawned once per prefix of choices and
-    rewound before the next, so states sharing a prefix share its spawns.
-    At each state both chains run, each from a fresh copy of the one chain
-    instance made per check (exact: every state has the same instance names
-    and schemas), and each run is rewound.
+    An instance left with one value per axis (out of the cone, or pinned)
+    is fixed: it is spawned once, before the sweep. The sweep walks the
+    states depth first through one world, one swept instance per level:
+    each is spawned once per prefix of choices and rewound before the next,
+    so states sharing a prefix share its spawns. The states come in the
+    order of a full sweep, and a spawn error is the one spawning in name
+    order meets first. At each state both chains run, each from a fresh
+    copy of the one chain instance made per check (exact: every state has
+    the same instance names and schemas), and each run is rewound.
     """
     for chain_name in (chain_a, chain_b):
         if registry.chain(chain_name) is None:
@@ -139,14 +142,19 @@ def check_equivalence(
         raise StateSpaceTooLargeError(f"state space has {size} states (bound {state_bound})")
 
     cone = _cone(registry, (registry.chain(chain_a), registry.chain(chain_b)), levels)
-    collapsed = [
-        (name, schema_name, dets,
-         [values if (name, det) in cone else values[:1] for det, values in zip(dets, axes)])
-        for name, schema_name, dets, axes in levels
-    ]
     bindings = {name: name for name, _ in space.instances}
     world = Microworld(registry, name="equiv")
     planned: dict[str, transitions.ChainInstance] = {}
+
+    def spawn(name: str, schema_name: str, determinants: dict[str, str]) -> None:
+        try:
+            world.spawn(schema_name, determinants, instance_id=name)
+        except XfoError:
+            # Fixed levels spawn first: raise the error spawning in name order meets first.
+            first = Microworld(registry)
+            for other, schema, dets, axes in levels:
+                first.spawn(schema, {d: v[0] for d, v in zip(dets, axes)}, instance_id=other)
+            raise
 
     def final_state(chain_name: str) -> frozenset[tuple[str, str, str]]:
         if chain_name not in planned:
@@ -155,8 +163,7 @@ def check_equivalence(
             )
         plan = planned[chain_name]
         instance = transitions.ChainInstance(
-            plan.schema, plan.bindings, plan.bearer_map,
-            frames=[transitions.Frame(plan.schema.steps)], loop_cap=loop_cap,
+            plan.schema, plan.bindings, plan.bearer_map, loop_cap=loop_cap
         )
         mark = world.mark()
         run(world, instance, max_ticks=10**9)
@@ -170,22 +177,32 @@ def check_equivalence(
 
     def sweep(depth: int, assignment: tuple) -> tuple | None:
         """The first differing assignment below the world's prefix, if any."""
-        if depth == len(collapsed):
+        if depth == len(swept):
             return assignment if final_state(chain_a) != final_state(chain_b) else None
-        name, schema_name, dets, axes = collapsed[depth]
+        name, schema_name, dets, axes = swept[depth]
         for combo in itertools.product(*axes):
             determinants = dict(zip(dets, combo))
             mark = world.mark()
-            world.spawn(schema_name, determinants, instance_id=name)
+            spawn(name, schema_name, determinants)
             found = sweep(depth + 1, assignment + ((name, determinants),))
             world.rewind(mark)
             if found is not None:
                 return found
         return None
 
+    fixed, swept = [], []  # fixed: (name, determinants) of the levels with one combination
+    for name, schema_name, dets, axes in levels:
+        axes = [values if (name, det) in cone else values[:1] for det, values in zip(dets, axes)]
+        if any(len(values) > 1 for values in axes):
+            swept.append((name, schema_name, dets, axes))
+        else:
+            determinants = {det: values[0] for det, values in zip(dets, axes)}
+            spawn(name, schema_name, determinants)
+            fixed.append((name, determinants))
     found = sweep(0, ())
     if found is None:
         return EquivalenceResult(True, None, size)
+    found = sorted((*fixed, *found))  # every spawn succeeded, so names are distinct
     index = 0  # the witness's place in the full order, one mixed-radix digit per axis
     for (_, determinants), (*_, axes) in zip(found, levels):
         for value, values in zip(determinants.values(), axes):

@@ -9,11 +9,12 @@ or blocks leaves the store, the clock and the timeline as they were.
 ``mark`` and ``rewind`` undo whole sequences of units: a search that tries
 and takes back moves walks one world instead of copying it per state.
 
-Two production systems drive transitions. Dispositions fire sure-fire, to
-fixpoint, after every applied step: in declaration order over their alive
-bearers in id order. Interaction rules fire one at a time, over participant
-tuples in rule-declaration then id order, the most specific matching rule
-first.
+Two production systems drive transitions. Dispositions fire sure-fire after
+every applied step, in declaration order over their alive bearers in id
+order, until no pair is left to try: a (disposition, bearer) pair whose
+realization blocks is skipped for the rest of that call. Interaction rules
+fire one at a time, over participant tuples in rule-declaration then id
+order, the most specific matching rule first.
 """
 
 from __future__ import annotations
@@ -318,12 +319,14 @@ class Microworld:
                     yield disposition, bearer
 
     def fire_dispositions(self) -> list[DispositionFiring]:
-        """Fire every triggered disposition, sure-fire, to fixpoint.
+        """Fire triggered dispositions, sure-fire, until no pair is left to try.
 
         Each firing is the first triggered pair of ``_triggered``'s scan, which
         restarts after it, so cascades fire in a stable order. A (disposition,
         bearer) pair whose realization blocks is skipped for the rest of the
-        call. Raises DispositionCascadeOverflow past the cap.
+        call, even when a later firing would let it apply: the call can end
+        with a trigger that holds. Raises DispositionCascadeOverflow past the
+        cap.
         """
         fired: list[DispositionFiring] = []
         blocked: set[tuple[str, str]] = set()
@@ -487,9 +490,9 @@ def run(world: Microworld, chain: transitions.ChainInstance | None = None,
     """Run a chain instance, or (without one) the interaction rules.
 
     Steps until completion, quiescence, or the tick budget; after every
-    applied transitional, dispositions fire to fixpoint. A chain that has
-    finished reports its end even when the budget is spent. On budget
-    exhaustion the world state so far is still returned.
+    applied transitional, ``fire_dispositions`` fires the dispositions. A
+    chain that has finished reports its end even when the budget is spent.
+    On budget exhaustion the world state so far is still returned.
     """
     if max_ticks <= 0:
         raise XfoError("max_ticks must be positive")
@@ -517,7 +520,7 @@ def run(world: Microworld, chain: transitions.ChainInstance | None = None,
         status=status,
         world=world,
         applied=applied,
-        events=list(world.events[start_events:]),
+        events=world.events[start_events:],
         ticks_used=world.clock - start_clock,
     )
 

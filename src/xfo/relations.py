@@ -27,7 +27,7 @@ its matching slice. The first order also maps each live triple to its record.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -226,7 +226,7 @@ class RelationStore:
     def _retract(self, subject: str, predicate: str, obj: str, tick: int) -> None:
         index = self._unindex(subject, predicate, obj)
         triple = self._records[index]
-        self._records[index] = replace(triple, retracted_at=tick)
+        self._records[index] = Triple(subject, predicate, obj, triple.asserted_at, tick)
         if self.trail is not None:
             self.trail.append((self._unretract, index, triple))
 

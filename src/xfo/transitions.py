@@ -78,12 +78,9 @@ def solve_guards(
 
 
 def _ground(pattern: schemas.Pattern, bindings: dict[str, str]) -> tuple[str, str, str]:
-    def value(term: schemas.Term) -> str:
-        if term.kind == schemas.VAR:
-            return bindings[term.value]
-        return term.value
-
-    return (value(pattern.subject), pattern.predicate, value(pattern.object))
+    subject, obj = pattern.subject, pattern.object
+    return (bindings[subject.value] if subject.kind == schemas.VAR else subject.value,
+            pattern.predicate, bindings[obj.value] if obj.kind == schemas.VAR else obj.value)
 
 
 def apply_transitional(
@@ -147,17 +144,22 @@ class Frame:
 class ChainInstance:
     """A chain Universal instantiated for one run.
 
-    Status only ever moves planned -> running -> {completed, aborted}.
+    Status only ever moves planned -> running -> {completed, aborted}. Built
+    without ``frames``, an instance starts at its schema's first step.
     """
 
     schema: schemas.ChainSchema
     bindings: dict[str, str]
     bearer_map: dict[str, str]
     status: str = PLANNED
-    frames: list[Frame] = field(default_factory=list)
+    frames: list[Frame] | None = None
     log: list[AppliedTransition] = field(default_factory=list)
     abort_reason: str | None = None
     loop_cap: int = DEFAULT_LOOP_CAP
+
+    def __post_init__(self) -> None:
+        if self.frames is None:
+            self.frames = [Frame(self.schema.steps)]
 
     @property
     def finished(self) -> bool:
@@ -216,13 +218,7 @@ def instantiate_chain(
             raise MissingBindingError(f"chain {chain_name!r} needs a "
                                       f"{transitional.bearer_kind} bound for transitional {name!r}")
         bearer_map[name] = bearer
-    return ChainInstance(
-        schema=chain,
-        bindings=dict(bindings),
-        bearer_map=bearer_map,
-        frames=[Frame(chain.steps)],
-        loop_cap=loop_cap,
-    )
+    return ChainInstance(chain, dict(bindings), bearer_map, loop_cap=loop_cap)
 
 
 def step_chain(world, instance: ChainInstance) -> ChainInstance:
@@ -284,16 +280,12 @@ def _condition_holds(world, instance: ChainInstance, condition: schemas.Pattern)
     """Whether an ``if``/``while`` condition matches. Its constants may name
     chain roles; each such constant stands for the instance bound to it."""
     roles = instance.bindings
-
-    def resolve(term: schemas.Term) -> schemas.Term:
-        if term.kind == schemas.CONST and term.value in roles:
-            return schemas.const(roles[term.value])
-        return term
-
-    pattern = schemas.Pattern(
-        condition.predicate, resolve(condition.subject), resolve(condition.object)
-    )
-    return world.store.matches(pattern, bindings=roles)
+    subject, obj = condition.subject, condition.object
+    if subject.kind == schemas.CONST and subject.value in roles:
+        subject = schemas.const(roles[subject.value])
+    if obj.kind == schemas.CONST and obj.value in roles:
+        obj = schemas.const(roles[obj.value])
+    return world.store.matches(schemas.Pattern(condition.predicate, subject, obj), bindings=roles)
 
 
 # --- thick chain summaries ----------------------------------------------------------

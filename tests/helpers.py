@@ -34,13 +34,14 @@ def world_from(corpus_result, world_name, seed=None):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Replace ``owner.name`` by a wrapper; the returned list grows by each call's arguments."""
+    """Replace ``owner.name`` by a wrapper; the returned list grows by each
+    call's positional arguments."""
     calls = []
     original = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls

@@ -1,22 +1,29 @@
 """The cone-of-influence sweep against the per-state rebuild oracle.
 
 ``check_equivalence`` runs the chains only where the axes in their cone of
-influence vary; every other axis stays at its first value. On generated
+influence vary; every other axis stays at its first value, and an instance
+left with one value per axis is spawned once, before the sweep. On generated
 models with variable-subject guards and conditions, role-constant
-conditions, parts, dispositions and pinned determinables, it must agree with
-the oracle of ``test_equiv_sweep`` on the verdict, the number of states
-checked, the witness and every error. Counting the runs guards the saving.
+conditions, parts, dispositions, pinned determinables, fully pinned and
+out-of-cone instances around swept ones, and part ids that clash, it must
+agree with the oracle of ``test_equiv_sweep`` on the verdict, the number of
+states checked, the witness and every error. Counting the runs and the
+spawns guards the saving.
 """
 
+import math
+
 import pytest
-from helpers import compile_ok
-from hypothesis import HealthCheck, given, settings
+from helpers import compile_ok, count_calls
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_equiv_sweep import _outcome, oracle
 
 import xfo.equivalence
 from xfo import StateSpace, check_equivalence
 from xfo.equivalence import EquivalenceResult
+from xfo.errors import DuplicateNameError
+from xfo.microworld import Microworld
 
 # --- generated models ---------------------------------------------------------------------
 
@@ -30,11 +37,19 @@ object Vase {
   quality tint: hue
   part knob: Knob function "grip"
 }
+quality grit { fine, coarse }
+object Stone { quality grain: grit }
 """
 VALUES = {"color": ("red", "green", "blue"), "state": ("ok", "broken"),
           "tint": ("red", "green", "blue")}
 DETERMINABLES = {"Light": ("color",), "Vase": ("state", "tint")}
-NAMES = ("a", "b", "c")
+# No chain reads or writes a Knob or a Stone, so they stay out of the cone
+# (a Stone with its grain unswept); a pin may still fix a Stone's grain.
+PINNABLE = {**DETERMINABLES, "Stone": ("grain",)}
+PIN_VALUES = {**VALUES, "grain": ("fine", "coarse")}
+STATES = {"Light": 3, "Vase": 6, "Knob": 1, "Stone": 2}
+# "b.knob" is the id of the knob part of a Vase named "b".
+NAMES = ("a", "b", "b.knob", "c", "d")
 LOOP_CAP = 3
 
 
@@ -93,11 +108,14 @@ def _steps(draw, names, transitionals, depth: int = 0) -> str:
 
 @st.composite
 def models(draw):
-    instance = st.tuples(st.sampled_from(NAMES), st.sampled_from(("Light", "Vase")))
-    instances = draw(st.lists(instance, min_size=2, max_size=3, unique_by=lambda pair: pair[0]))
-    kinds = sorted({schema for _, schema in instances})
+    instance = st.tuples(st.sampled_from(NAMES), st.sampled_from(sorted(STATES)))
+    instances = draw(st.lists(instance, min_size=2, max_size=4, unique_by=lambda pair: pair[0]))
+    kinds = sorted({schema for _, schema in instances} & set(DETERMINABLES))
+    assume(kinds and math.prod(STATES[schema] for _, schema in instances) <= 216)
     # Mostly the names of space instances; one more name, absent or present.
-    names = {draw(st.sampled_from(NAMES)): None, **dict(instances)}
+    # A pattern spells no dotted name.
+    names = {name: schema for name, schema in
+             [(draw(st.sampled_from(NAMES)), None), *instances] if "." not in name}
     source = [HEAD]
     transitionals = [f"t{i}" for i in range(draw(st.integers(1, 3)))]
     for name in transitionals:
@@ -114,13 +132,17 @@ def models(draw):
     source.append(f"chain procedure a {{\n{chain_a}\n}}\n")
     source.append(f"chain procedure b {{\n{chain_b}\n}}\n")
     pinned = []
-    for name, schema in draw(st.lists(st.sampled_from(instances), max_size=1)):
-        det = draw(st.sampled_from(DETERMINABLES[schema]))
-        pinned.append((name, det, draw(st.sampled_from(VALUES[det]))))
+    pinnable = [(name, schema) for name, schema in instances if schema in PINNABLE]
+    for name, schema in draw(st.lists(st.sampled_from(pinnable), max_size=2)) if pinnable else ():
+        dets = PINNABLE[schema]  # all of them: the instance is fully pinned
+        if draw(st.booleans()):
+            dets = (draw(st.sampled_from(dets)),)
+        pinned += [(name, det, draw(st.sampled_from(PIN_VALUES[det]))) for det in dets]
     return "".join(source), StateSpace(tuple(instances), tuple(pinned))
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(model=models())
 def test_cone_sweep_agrees_with_per_state_rebuild(model):
     source, space = model
@@ -251,6 +273,26 @@ def test_mix_ink_agrees_with_the_oracle(registry):
     assert check_equivalence(registry, "mix_ink", "mix_ink", space) == expected
 
 
+# Each space has a swept clock "c" and two fixed instances after it, and two
+# of its spawns fail. The error is the first in name order, not in spawn
+# order; the instances are listed in name order, so the oracle spawns them so.
+SPAWN_ERRORS = {
+    "two part ids clash": StateSpace(
+        (("c", "Clock"), ("c.escape_gear", "Gear"), ("c.main_gear", "Gear"))),
+    "a part id clashes before a bad pin": StateSpace(
+        (("c", "Clock"), ("c.main_gear", "Gear"), ("c.x", "TrafficLight")),
+        (("c.x", "color", "blue"),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPAWN_ERRORS))
+def test_a_spawn_error_is_the_first_in_name_order(registry, case):
+    space = SPAWN_ERRORS[case]
+    expected = _outcome(oracle, registry, "unwind", "unwind", space)
+    assert expected[0] is DuplicateNameError
+    assert _outcome(check_equivalence, registry, "unwind", "unwind", space) == expected
+
+
 # --- the saving -----------------------------------------------------------------------------
 
 
@@ -289,3 +331,12 @@ chain sequence a { do paint }
     space = StateSpace((("l1", "Light"), ("l2", "Light"), ("l3", "Light")))
     assert check_equivalence(registry, "a", "a", space) == EquivalenceResult(True, None, 8)
     assert len(runs) == 2 * 8
+
+
+def test_out_of_cone_instances_are_spawned_once(registry, monkeypatch):
+    spawns = count_calls(monkeypatch, Microworld, "spawn")
+    space = StateSpace(tuple((f"l{i}", "TrafficLight") for i in range(7)))
+    result = check_equivalence(registry, "cycle", "go_yellow", space)
+    assert result.states_checked == 2 * 3 ** 6 + 1
+    # Six lights once each, then the first light once per colour up to red.
+    assert len(spawns) == 6 + 3

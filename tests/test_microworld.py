@@ -341,6 +341,45 @@ def test_two_disposition_cascade_in_one_pass():
         assert not world.store.matches(disposition.trigger, bindings={"bearer": "w"})
 
 
+# A strike cracks the windshield and a crack mends it; the strike stays.
+CRACK_AND_MEND = """
+quality condition { intact, broken }
+object Windshield { quality condition: condition required }
+object Sledgehammer { }
+relation struck_by(Windshield, Sledgehammer)
+transitional hit on Windshield { create struck_by(bearer, hammer) }
+transitional crack on Windshield {
+  require condition(bearer, intact)
+  delete condition(bearer, intact)
+  create condition(bearer, broken)
+}
+transitional mend on Windshield {
+  require condition(bearer, broken)
+  delete condition(bearer, broken)
+  create condition(bearer, intact)
+}
+disposition a on Windshield when struck_by(bearer, ?h) realize crack
+disposition b on Windshield when condition(bearer, broken) realize mend
+chain sequence strike { do hit }
+"""
+
+
+def test_a_blocked_realization_is_skipped_for_the_rest_of_the_call():
+    registry = compile_ok({"m": CRACK_AND_MEND}).registry
+    world = Microworld(registry)
+    world.spawn("Windshield", {"condition": "intact"}, instance_id="shield")
+    world.spawn("Sledgehammer", instance_id="hammer")
+    outcome = run(world, instantiate_chain(world, "strike", {"shield": "shield"}))
+    # a cracks, a blocks (crack needs intact), b mends; a is not tried again
+    # in that call, although its trigger holds and crack would apply.
+    assert (outcome.status, outcome.ticks_used) == ("completed", 3)
+    assert [event.name for event in outcome.events[-3:]] == ["hit", "crack", "mend"]
+    trigger = registry.realizable("a").trigger
+    assert world.store.matches(trigger, bindings={"bearer": "shield"})
+    fired = world.fire_dispositions()
+    assert [(f.disposition, f.transitional) for f in fired] == [("a", "crack"), ("b", "mend")]
+
+
 def test_cascade_overflow_detected():
     churning = compile_ok(
         {

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from xfo import (
     AppliedTransition,
     BlockedTransition,
+    ChainInstance,
     apply_transitional,
     instantiate_chain,
     step_chain,
@@ -20,7 +21,7 @@ from xfo.errors import (
 )
 from xfo.microworld import Microworld, run
 from xfo.relations import RelationStore
-from xfo.schemas import Pattern, const, var
+from xfo.schemas import ChainSchema, Pattern, const, var
 from xfo.transitions import ABORTED, COMPLETED, LOOP_CAP_REASON, PLANNED, RUNNING
 
 
@@ -225,6 +226,25 @@ def test_aborted_chain_names_the_guard_it_failed_at(corpus):
         "transitional 'turn_green' blocked: guard failed at color(bearer, red)"
     )
     assert not chain.abort_reason.startswith(LOOP_CAP_REASON)
+
+
+def test_an_instance_built_without_frames_starts_at_its_first_step(corpus):
+    planned = instantiate_chain(world_from(corpus, "demo"), "cycle", {"light": "light"})
+    built = ChainInstance(planned.schema, {"light": "light"}, planned.bearer_map)
+    outcomes = []
+    for instance in (planned, built):
+        world = world_from(corpus, "demo")
+        result = run(world, instance)
+        outcomes.append((result.status, result.ticks_used, world.fingerprint()))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0][:2] == ("completed", 1)
+
+
+def test_a_chain_with_no_steps_completes_on_its_first_call(light_world):
+    instance = ChainInstance(ChainSchema("idle", "sequence"), {}, {})
+    step_chain(light_world, instance)
+    assert instance.status == COMPLETED
+    assert instance.log == []
 
 
 def test_step_after_finish_raises(corpus, light_world):
