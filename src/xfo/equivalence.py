@@ -28,7 +28,8 @@ class StateSpace:
 
     ``instances`` lists (name, schema) pairs; every declared determinable of
     each schema sweeps its whole quality ontology unless pinned to one value
-    via ``pinned`` entries (instance, determinable, value).
+    via ``pinned`` entries (instance, determinable, value). A pin must name
+    an instance of the space and a determinable its schema declares.
     """
 
     instances: tuple[tuple[str, str], ...]
@@ -58,6 +59,15 @@ def _levels(registry: Registry, space: StateSpace) -> list[tuple[str, str, tuple
             for slot in schema.qualities
         ]
         levels.append((name, schema_name, dets, axes))
+    # A pin that fixes no axis would silently widen the space swept.
+    declared = {name: (schema_name, dets) for name, schema_name, dets, _ in levels}
+    for inst, det, value in space.pinned:
+        pin = f"pin {inst}.{det}={value}"
+        if inst not in declared:
+            raise XfoError(f"{pin}: {inst!r} is not an instance of the space")
+        schema_name, dets = declared[inst]
+        if det not in dets:
+            raise XfoError(f"{pin}: {schema_name!r} declares no determinable {det!r}")
     return levels
 
 

@@ -334,6 +334,8 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
             )
     if has_errors(diagnostics):
         registry = None
+    # One report per distinct diagnostic: ``relation r(b, b)`` resolves ``b`` twice at one span.
+    diagnostics = list(dict.fromkeys(diagnostics))
     return CompileResult(registry, worlds, tuple(claims), tuple(infos), diagnostics)
 
 

@@ -12,37 +12,7 @@ import re
 from ..diagnostics import ERROR, SYNTAX, Diagnostic, Span
 from ..schemas import CHAIN_KINDS
 from . import ast
-from .lexer import (
-    COLON,
-    COMMA,
-    DOT,
-    EOF,
-    EQUALS,
-    IDENT,
-    LBRACE,
-    LPAREN,
-    QUESTION,
-    RBRACE,
-    RPAREN,
-    STRING,
-    Token,
-    tokenize,
-)
-
-DECL_KEYWORDS = frozenset(
-    {
-        "import",
-        "quality",
-        "object",
-        "aggregate",
-        "relation",
-        "transitional",
-        "chain",
-        "disposition",
-        "world",
-        "claim",
-    }
-)
+from .lexer import COLON, EOF, EQUALS, IDENT, STRING, Token, tokenize
 
 _FACET_RE = re.compile(r"^\s*#\s*facet\s*:\s*([A-Za-z_][A-Za-z0-9_\-]*)\s*$", re.MULTILINE)
 
@@ -71,12 +41,17 @@ class Parser:
             self.pos += 1
         return token
 
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
-
-    def at_word(self, word: str) -> bool:
+    def at(self, word: str) -> bool:
+        """Whether the next token is the keyword or punctuation mark ``word``."""
         token = self.tokens[self.pos]
-        return token.kind == IDENT and token.text == word
+        return token.text == word and token.kind != STRING
+
+    def accept(self, word: str) -> bool:
+        """Consume the next token if it is ``word``; say whether it was."""
+        if self.at(word):
+            self.pos += 1
+            return True
+        return False
 
     def error(self, message: str, token: Token | None = None) -> _ParseError:
         token = token or self.peek()
@@ -89,31 +64,32 @@ class Parser:
         found = "end of file" if token.kind == EOF else self.source[token.offset : end]
         return self.error(f"expected {what}, found {found!r}")
 
-    def expect(self, kind: str, what: str) -> Token:
-        if self.at(kind):
-            return self.advance()
-        raise self.unexpected(what)
+    def expect(self, word: str) -> None:
+        if not self.accept(word):
+            raise self.unexpected(repr(word))
 
-    def expect_word(self, word: str) -> Token:
-        if self.at_word(word):
-            return self.advance()
-        raise self.unexpected(repr(word))
+    def take(self, kind: str, what: str) -> str:
+        """The text of the next token, which must be of ``kind``."""
+        token = self.tokens[self.pos]
+        if token.kind != kind:
+            raise self.unexpected(what)
+        self.pos += 1
+        return token.text
 
-    def ident(self, what: str) -> Token:
-        return self.expect(IDENT, what)
+    def ident(self, what: str) -> str:
+        return self.take(IDENT, what)
 
     def decl_name(self, what: str) -> str:
         """The name of a schema declaration; it stays declared even if the
         rest of the declaration fails to parse."""
-        self.declaring = self.ident(what).text
+        self.declaring = self.ident(what)
         return self.declaring
 
     def ref(self, what: str) -> str:
         """A possibly module-qualified name: IDENT { '.' IDENT }."""
-        parts = [self.ident(what).text]
-        while self.at(DOT):
-            self.advance()
-            parts.append(self.ident("name after '.'").text)
+        parts = [self.ident(what)]
+        while self.accept("."):
+            parts.append(self.ident("name after '.'"))
         return ".".join(parts)
 
     def span_from(self, start_index: int) -> Span:
@@ -122,16 +98,28 @@ class Parser:
         length = max(last.offset + last.length - start.offset, 0)
         return Span(start.line, start.column, length, start.offset)
 
+    def block(self, item) -> tuple:
+        """``{ item* }``: the items parsed up to the closing brace."""
+        self.expect("{")
+        items = []
+        while not self.at("}") and self.peek().kind != EOF:
+            items.append(item())
+        self.expect("}")
+        return tuple(items)
+
     def sync(self) -> None:
+        """Skip to the next declaration keyword outside braces. ``quality NAME :``
+        is a quality slot of the object body the error left, not a declaration."""
         depth = 0
-        while not self.at(EOF):
-            token = self.peek()
-            if token.kind == LBRACE:
+        while (token := self.peek()).kind != EOF:
+            if not depth and token.kind == IDENT and token.text in DECL_KEYWORDS:
+                after = [t.kind for t in self.tokens[self.pos + 1 : self.pos + 3]]
+                if token.text != "quality" or after != [IDENT, COLON]:
+                    return
+            if self.at("{"):
                 depth += 1
-            elif token.kind == RBRACE:
+            elif self.at("}"):
                 depth = max(depth - 1, 0)
-            elif depth == 0 and token.kind == IDENT and token.text in DECL_KEYWORDS:
-                return
             self.advance()
 
     # -- module ----------------------------------------------------------------
@@ -140,38 +128,17 @@ class Parser:
         imports: list[ast.ImportNode] = []
         decls: list = []
         dropped: list[str] = []
-        while not self.at(EOF):
+        while self.peek().kind != EOF:
             start = self.pos
             self.declaring = None
             try:
                 token = self.peek()
-                if token.kind != IDENT or token.text not in DECL_KEYWORDS:
+                parse = _DECLS.get(token.text) if token.kind == IDENT else None
+                if parse is None:
                     raise self.unexpected("a declaration keyword")
-                word = token.text
-                if word == "import":
-                    self.advance()
-                    module = self.ident("module name after 'import'")
-                    imports.append(
-                        ast.ImportNode(module.text, span=self.span_from(start))
-                    )
-                elif word == "quality":
-                    decls.append(self.quality_decl(start))
-                elif word == "object":
-                    decls.append(self.object_decl(start))
-                elif word == "aggregate":
-                    decls.append(self.aggregate_decl(start))
-                elif word == "relation":
-                    decls.append(self.relation_decl(start))
-                elif word == "transitional":
-                    decls.append(self.transitional_decl(start))
-                elif word == "chain":
-                    decls.append(self.chain_decl(start))
-                elif word == "disposition":
-                    decls.append(self.disposition_decl(start))
-                elif word == "world":
-                    decls.append(self.world_decl(start))
-                elif word == "claim":
-                    decls.append(self.claim_decl(start))
+                self.advance()
+                node = parse(self, start)
+                (imports if isinstance(node, ast.ImportNode) else decls).append(node)
             except _ParseError:
                 if self.declaring is not None:
                     dropped.append(self.declaring)
@@ -182,270 +149,220 @@ class Parser:
             dropped=tuple(dropped),
         )
 
-    # -- declarations -------------------------------------------------------------
+    # -- declarations: each starts just past its keyword ------------------------
+
+    def import_decl(self, start: int) -> ast.ImportNode:
+        module = self.ident("module name after 'import'")
+        return ast.ImportNode(module, span=self.span_from(start))
 
     def quality_decl(self, start: int) -> ast.QualityNode:
-        self.expect_word("quality")
         name = self.decl_name("quality name")
-        self.expect(LBRACE, "'{'")
-        determinants = [self.ident("determinant").text]
-        while self.at(COMMA):
-            self.advance()
-            determinants.append(self.ident("determinant").text)
-        self.expect(RBRACE, "'}'")
+        self.expect("{")
+        determinants = [self.ident("determinant")]
+        while self.accept(","):
+            determinants.append(self.ident("determinant"))
+        self.expect("}")
         return ast.QualityNode(name, tuple(determinants), span=self.span_from(start))
 
     def object_decl(self, start: int) -> ast.ObjectNode:
-        self.expect_word("object")
         name = self.decl_name("object name after 'object'")
-        parent = None
-        if self.at(COLON):
-            self.advance()
-            parent = self.ref("parent name after ':'")
-        self.expect(LBRACE, "'{'")
-        items: list = []
-        while not self.at(RBRACE) and not self.at(EOF):
-            items.append(self.object_item())
-        self.expect(RBRACE, "'}'")
-        return ast.ObjectNode(name, parent, tuple(items), span=self.span_from(start))
+        parent = self.ref("parent name after ':'") if self.accept(":") else None
+        items = self.block(self.object_item)
+        return ast.ObjectNode(name, parent, items, span=self.span_from(start))
 
     def object_item(self):
         start = self.pos
-        if self.at_word("quality"):
-            self.advance()
-            determinable = self.ident("determinable name").text
-            self.expect(COLON, "':'")
+        if self.accept("quality"):
+            determinable = self.ident("determinable name")
+            self.expect(":")
             ontology = self.ref("quality ontology name")
-            required = False
-            if self.at_word("required"):
-                self.advance()
-                required = True
+            required = self.accept("required")
             return ast.QualitySlotNode(
                 determinable, ontology, required, span=self.span_from(start)
             )
-        if self.at_word("part"):
-            self.advance()
-            slot = self.ident("part slot name").text
-            self.expect(COLON, "':'")
+        if self.accept("part"):
+            slot = self.ident("part slot name")
+            self.expect(":")
             schema = self.ref("part schema name")
-            self.expect_word("function")
-            function = self.expect(STRING, "function text").text
-            linkage = None
-            if self.at_word("composition"):
-                self.advance()
-                linkage = "composition"
-            elif self.at_word("contained"):
-                self.advance()
-                linkage = "contained"
+            self.expect("function")
+            function = self.take(STRING, "function text")
+            linkage = (
+                "composition" if self.accept("composition")
+                else "contained" if self.accept("contained") else None
+            )
             return ast.PartNode(slot, schema, function, linkage, span=self.span_from(start))
-        if self.at_word("function"):
-            self.advance()
-            name = self.ident("function name").text
-            serves = None
-            if self.at_word("serves"):
-                self.advance()
-                serves = self.ident("need name after 'serves'").text
+        if self.accept("function"):
+            name = self.ident("function name")
+            serves = self.ident("need name after 'serves'") if self.accept("serves") else None
             return ast.FunctionNode(name, serves, span=self.span_from(start))
-        if self.at_word("role"):
-            self.advance()
-            name = self.ident("role name").text
-            return ast.RoleNode(name, span=self.span_from(start))
+        if self.accept("role"):
+            return ast.RoleNode(self.ident("role name"), span=self.span_from(start))
         raise self.unexpected("an object item (quality/part/function/role)")
 
     def aggregate_decl(self, start: int) -> ast.AggregateNode:
-        self.expect_word("aggregate")
         name = self.decl_name("aggregate name")
-        self.expect(LBRACE, "'{'")
-        members: list[ast.MemberNode] = []
-        links: list[ast.LinkNode] = []
-        while not self.at(RBRACE) and not self.at(EOF):
-            item_start = self.pos
-            if self.at_word("member"):
-                self.advance()
-                slot = self.ident("member slot name").text
-                self.expect(COLON, "':'")
-                schema = self.ref("member schema name")
-                members.append(
-                    ast.MemberNode(slot, schema, span=self.span_from(item_start))
-                )
-            elif self.at_word("link"):
-                self.advance()
-                relation = self.ref("link relation name")
-                self.expect(LPAREN, "'('")
-                subject = self.ident("slot name").text
-                self.expect(COMMA, "','")
-                obj = self.ident("slot name").text
-                self.expect(RPAREN, "')'")
-                links.append(
-                    ast.LinkNode(relation, subject, obj, span=self.span_from(item_start))
-                )
-            else:
-                raise self.unexpected("'member' or 'link'")
-        self.expect(RBRACE, "'}'")
-        return ast.AggregateNode(name, tuple(members), tuple(links), span=self.span_from(start))
+        items = self.block(self.aggregate_item)
+        members = tuple(item for item in items if isinstance(item, ast.MemberNode))
+        links = tuple(item for item in items if isinstance(item, ast.LinkNode))
+        return ast.AggregateNode(name, members, links, span=self.span_from(start))
+
+    def aggregate_item(self) -> ast.MemberNode | ast.LinkNode:
+        start = self.pos
+        if self.accept("member"):
+            slot = self.ident("member slot name")
+            self.expect(":")
+            schema = self.ref("member schema name")
+            return ast.MemberNode(slot, schema, span=self.span_from(start))
+        if self.accept("link"):
+            relation = self.ref("link relation name")
+            self.expect("(")
+            subject = self.ident("slot name")
+            self.expect(",")
+            obj = self.ident("slot name")
+            self.expect(")")
+            return ast.LinkNode(relation, subject, obj, span=self.span_from(start))
+        raise self.unexpected("'member' or 'link'")
 
     def relation_decl(self, start: int) -> ast.RelationNode:
-        self.expect_word("relation")
         name = self.decl_name("relation name")
-        self.expect(LPAREN, "'('")
+        self.expect("(")
         subject = self.ref("subject kind")
-        self.expect(COMMA, "','")
+        self.expect(",")
         obj = self.ref("object kind")
-        self.expect(RPAREN, "')'")
-        relational = False
-        if self.at_word("relational-quality"):
-            self.advance()
-            relational = True
+        self.expect(")")
+        relational = self.accept("relational-quality")
         return ast.RelationNode(name, subject, obj, relational, span=self.span_from(start))
 
     def pattern(self) -> ast.PatternNode:
         start = self.pos
         predicate = self.ref("predicate name")
-        self.expect(LPAREN, "'('")
+        self.expect("(")
         subject = self.term()
-        self.expect(COMMA, "','")
+        self.expect(",")
         obj = self.term()
-        self.expect(RPAREN, "')'")
+        self.expect(")")
         return ast.PatternNode(predicate, subject, obj, span=self.span_from(start))
 
     def term(self) -> ast.TermNode:
         start = self.pos
-        if self.at(QUESTION):
-            self.advance()
-            name = self.ident("variable name after '?'").text
+        if self.accept("?"):
+            name = self.ident("variable name after '?'")
             return ast.TermNode("var", name, span=self.span_from(start))
-        if self.at(STRING):
-            token = self.advance()
-            return ast.TermNode("string", token.text, span=self.span_from(start))
+        if self.peek().kind == STRING:
+            value = self.advance().text
+            return ast.TermNode("string", value, span=self.span_from(start))
         value = self.ref("term")
         return ast.TermNode("ident", value, span=self.span_from(start))
 
     def transitional_decl(self, start: int) -> ast.TransitionalNode:
-        self.expect_word("transitional")
         name = self.decl_name("transitional name")
-        self.expect_word("on")
+        self.expect("on")
         bearer = self.ref("bearer kind after 'on'")
-        self.expect(LBRACE, "'{'")
+        self.expect("{")
         requires: list[ast.PatternNode] = []
-        while self.at_word("require"):
-            self.advance()
+        while self.accept("require"):
             requires.append(self.pattern())
         edits: list[ast.EditNode] = []
-        while self.at_word("delete") or self.at_word("create"):
+        while self.at("delete") or self.at("create"):
             edit_start = self.pos
             op = self.advance().text
             edits.append(ast.EditNode(op, self.pattern(), span=self.span_from(edit_start)))
-        self.expect(RBRACE, "'}'")
+        self.expect("}")
         return ast.TransitionalNode(
             name, bearer, tuple(requires), tuple(edits), span=self.span_from(start)
         )
 
     def chain_decl(self, start: int) -> ast.ChainNode:
-        self.expect_word("chain")
-        kind_token = self.ident("chain kind (sequence/mechanism/procedure/workflow)")
-        if kind_token.text not in CHAIN_KINDS:
-            raise self.error(
-                f"expected a chain kind, found {kind_token.text!r}", kind_token
-            )
+        kind_token = self.peek()
+        kind = self.ident("chain kind (sequence/mechanism/procedure/workflow)")
+        if kind not in CHAIN_KINDS:
+            raise self.error(f"expected a chain kind, found {kind!r}", kind_token)
         name = self.decl_name("chain name")
-        steps = self.step_block()
-        return ast.ChainNode(name, kind_token.text, steps, span=self.span_from(start))
-
-    def step_block(self) -> tuple:
-        self.expect(LBRACE, "'{'")
-        steps: list = []
-        while not self.at(RBRACE) and not self.at(EOF):
-            steps.append(self.step())
-        self.expect(RBRACE, "'}'")
-        return tuple(steps)
+        steps = self.block(self.step)
+        return ast.ChainNode(name, kind, steps, span=self.span_from(start))
 
     def step(self):
         start = self.pos
-        if self.at_word("do"):
-            self.advance()
+        if self.accept("do"):
             transitional = self.ref("transitional name after 'do'")
-            intervention = False
-            if self.at_word("intervention"):
-                self.advance()
-                intervention = True
+            intervention = self.accept("intervention")
             return ast.DoNode(transitional, intervention, span=self.span_from(start))
-        if self.at_word("if"):
-            self.advance()
+        if self.accept("if"):
             condition = self.pattern()
-            then_steps = self.step_block()
-            else_steps: tuple = ()
-            if self.at_word("else"):
-                self.advance()
-                else_steps = self.step_block()
+            then_steps = self.block(self.step)
+            else_steps = self.block(self.step) if self.accept("else") else ()
             return ast.IfNode(condition, then_steps, else_steps, span=self.span_from(start))
-        if self.at_word("while"):
-            self.advance()
+        if self.accept("while"):
             condition = self.pattern()
-            body = self.step_block()
+            body = self.block(self.step)
             return ast.WhileNode(condition, body, span=self.span_from(start))
         raise self.unexpected("a step (do/if/while)")
 
     def disposition_decl(self, start: int) -> ast.DispositionNode:
-        self.expect_word("disposition")
         name = self.decl_name("disposition name")
-        self.expect_word("on")
+        self.expect("on")
         bearer = self.ref("bearer kind after 'on'")
-        self.expect_word("when")
+        self.expect("when")
         trigger = self.pattern()
-        self.expect_word("realize")
+        self.expect("realize")
         realization = self.ref("transitional name after 'realize'")
         return ast.DispositionNode(name, bearer, trigger, realization, span=self.span_from(start))
 
     def world_decl(self, start: int) -> ast.WorldNode:
-        self.expect_word("world")
-        name = self.ident("world name").text
-        self.expect(LBRACE, "'{'")
-        spawns: list[ast.SpawnNode] = []
-        asserts: list[ast.PatternNode] = []
-        while not self.at(RBRACE) and not self.at(EOF):
-            item_start = self.pos
-            if self.at_word("spawn"):
-                self.advance()
-                instance = self.ident("instance name").text
-                self.expect(COLON, "':'")
-                schema = self.ref("schema name")
-                assignments: list[ast.AssignNode] = []
-                # Assignments are IDENT '=' term; anything else ends the spawn.
-                # An IDENT is never the last token, so pos + 1 is in range.
-                while self.at(IDENT) and self.tokens[self.pos + 1].kind == EQUALS:
-                    assign_start = self.pos
-                    determinable = self.advance().text
-                    self.advance()  # '='
-                    assignments.append(
-                        ast.AssignNode(
-                            determinable, self.term(), span=self.span_from(assign_start)
-                        )
-                    )
-                spawns.append(
-                    ast.SpawnNode(
-                        instance, schema, tuple(assignments), span=self.span_from(item_start)
-                    )
+        name = self.ident("world name")
+        items = self.block(self.world_item)
+        spawns = tuple(item for item in items if isinstance(item, ast.SpawnNode))
+        asserts = tuple(item for item in items if isinstance(item, ast.PatternNode))
+        return ast.WorldNode(name, spawns, asserts, span=self.span_from(start))
+
+    def world_item(self) -> ast.SpawnNode | ast.PatternNode:
+        start = self.pos
+        if self.accept("spawn"):
+            instance = self.ident("instance name")
+            self.expect(":")
+            schema = self.ref("schema name")
+            assignments: list[ast.AssignNode] = []
+            # Assignments are IDENT '=' term; anything else ends the spawn.
+            # An IDENT is never the last token, so pos + 1 is in range.
+            while self.peek().kind == IDENT and self.tokens[self.pos + 1].kind == EQUALS:
+                assign_start = self.pos
+                determinable = self.advance().text
+                self.advance()  # '='
+                assignments.append(
+                    ast.AssignNode(determinable, self.term(), span=self.span_from(assign_start))
                 )
-            elif self.at_word("assert"):
-                self.advance()
-                asserts.append(self.pattern())
-            else:
-                raise self.unexpected("'spawn' or 'assert'")
-        self.expect(RBRACE, "'}'")
-        return ast.WorldNode(name, tuple(spawns), tuple(asserts), span=self.span_from(start))
+            return ast.SpawnNode(instance, schema, tuple(assignments), span=self.span_from(start))
+        if self.accept("assert"):
+            return self.pattern()
+        raise self.unexpected("'spawn' or 'assert'")
 
     def claim_decl(self, start: int) -> ast.ClaimNode:
-        self.expect_word("claim")
-        name = self.ident("claim name").text
-        statement = self.expect(STRING, "claim statement").text
+        name = self.ident("claim name")
+        statement = self.take(STRING, "claim statement")
         evidence: list[ast.EvidenceNode] = []
-        while self.at_word("evidence"):
+        while self.at("evidence"):
             item_start = self.pos
             self.advance()
             ref = self.ref("evidence artifact")
-            note = self.expect(STRING, "evidence note").text
+            note = self.take(STRING, "evidence note")
             evidence.append(ast.EvidenceNode(ref, note, span=self.span_from(item_start)))
         return ast.ClaimNode(name, statement, tuple(evidence), span=self.span_from(start))
+
+
+# Declaration keyword -> the Parser method that parses the rest of the declaration.
+_DECLS = {
+    "import": Parser.import_decl,
+    "quality": Parser.quality_decl,
+    "object": Parser.object_decl,
+    "aggregate": Parser.aggregate_decl,
+    "relation": Parser.relation_decl,
+    "transitional": Parser.transitional_decl,
+    "chain": Parser.chain_decl,
+    "disposition": Parser.disposition_decl,
+    "world": Parser.world_decl,
+    "claim": Parser.claim_decl,
+}
+DECL_KEYWORDS = frozenset(_DECLS)
 
 
 def parse_module(

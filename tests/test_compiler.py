@@ -107,6 +107,15 @@ def test_unimported_reference_is_dangling_with_span():
     assert diag.span is not None and diag.span.line >= 1
 
 
+def test_a_name_dangling_twice_at_one_span_is_reported_once():
+    result = compile_sources({"m": "object Box { }\nrelation lit(b, b)\nrelation on(b, c)\n"})
+    assert [(d.span.line, d.message) for d in result.diagnostics] == [
+        (2, "'b' is not declared in this module or its imports"),
+        (3, "'b' is not declared in this module or its imports"),
+        (3, "'c' is not declared in this module or its imports"),
+    ]
+
+
 def test_qualified_reference_without_import_is_dangling():
     result = compile_sources(
         {

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from xfo import StateSpace, check_equivalence, instantiate_chain
-from xfo.errors import NonterminatingChainError, StateSpaceTooLargeError
+from xfo.errors import NonterminatingChainError, StateSpaceTooLargeError, XfoError
 from xfo.microworld import Microworld, run
 
 SPACE = StateSpace((("light", "TrafficLight"),))
@@ -170,3 +170,15 @@ def test_pinned_axis_restricts_enumeration(registry):
     result = check_equivalence(registry, "cycle", "go_yellow", space)
     assert not result.equivalent
     assert result.states_checked == 1
+
+
+@pytest.mark.parametrize("pin, message", [
+    (("b", "color", "red"), "pin b.color=red: 'b' is not an instance of the space"),
+    (("a", "colour", "red"),
+     "pin a.colour=red: 'TrafficLight' declares no determinable 'colour'"),
+], ids=["instance", "determinable"])
+def test_a_pin_that_fixes_no_axis_is_an_error(registry, pin, message):
+    space = StateSpace((("a", "TrafficLight"),), (pin,))
+    with pytest.raises(XfoError) as excinfo:
+        check_equivalence(registry, "cycle", "go_yellow", space)
+    assert str(excinfo.value) == message

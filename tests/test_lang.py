@@ -1,5 +1,6 @@
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -199,6 +200,144 @@ def test_corpus_round_trips():
         assert reparsed.decls == module.decls
         assert reparsed.imports == module.imports
         assert reparsed.facet == module.facet
+
+
+# --- one malformed input per parser error site ----------------------------------------
+
+# (one-line source, column of its one diagnostic, the message, the dropped names): every
+# ``expect``, keyword, name, reference and unexpected-token site of the parser.
+PARSE_ERRORS = [
+    ("bogus", 1, "expected a declaration keyword, found 'bogus'", ()),
+    ("import", 7, "expected module name after 'import', found 'end of file'", ()),
+    ("quality", 8, "expected quality name, found 'end of file'", ()),
+    ("quality q a }", 11, "expected '{', found 'a'", ("q",)),
+    ("quality q { }", 13, "expected determinant, found '}'", ("q",)),
+    ("quality q { a, }", 16, "expected determinant, found '}'", ("q",)),
+    ("quality q { a b }", 15, "expected '}', found 'b'", ("q",)),
+    ("object", 7, "expected object name after 'object', found 'end of file'", ()),
+    ("object A : { }", 12, "expected parent name after ':', found '{'", ("A",)),
+    ("object A : m. { }", 15, "expected name after '.', found '{'", ("A",)),
+    ("object A B", 10, "expected '{', found 'B'", ("A",)),
+    ("object A { quality }", 20, "expected determinable name, found '}'", ("A",)),
+    ("object A { quality a hue }", 22, "expected ':', found 'hue'", ("A",)),
+    ("object A { quality a: }", 23, "expected quality ontology name, found '}'", ("A",)),
+    ("object A { part }", 17, "expected part slot name, found '}'", ("A",)),
+    ("object A { part p B }", 19, "expected ':', found 'B'", ("A",)),
+    ("object A { part p: }", 20, "expected part schema name, found '}'", ("A",)),
+    ("object A { part p: B }", 22, "expected 'function', found '}'", ("A",)),
+    ("object A { part p: B function x }", 31, "expected function text, found 'x'", ("A",)),
+    ("object A { function }", 21, "expected function name, found '}'", ("A",)),
+    ("object A { function f serves }", 30, "expected need name after 'serves', found '}'", ("A",)),
+    ("object A { role }", 17, "expected role name, found '}'", ("A",)),
+    ("object A { bogus }", 12,
+     "expected an object item (quality/part/function/role), found 'bogus'", ("A",)),
+    ("object A {", 11, "expected '}', found 'end of file'", ("A",)),
+    ("aggregate", 10, "expected aggregate name, found 'end of file'", ()),
+    ("aggregate G member", 13, "expected '{', found 'member'", ("G",)),
+    ("aggregate G { member }", 22, "expected member slot name, found '}'", ("G",)),
+    ("aggregate G { member m B }", 24, "expected ':', found 'B'", ("G",)),
+    ("aggregate G { member m: }", 25, "expected member schema name, found '}'", ("G",)),
+    ("aggregate G { link }", 20, "expected link relation name, found '}'", ("G",)),
+    ("aggregate G { link r a, b) }", 22, "expected '(', found 'a'", ("G",)),
+    ("aggregate G { link r( }", 23, "expected slot name, found '}'", ("G",)),
+    ("aggregate G { link r(a b) }", 24, "expected ',', found 'b'", ("G",)),
+    ("aggregate G { link r(a, ) }", 25, "expected slot name, found ')'", ("G",)),
+    ("aggregate G { link r(a, b }", 27, "expected ')', found '}'", ("G",)),
+    ("aggregate G { bogus }", 15, "expected 'member' or 'link', found 'bogus'", ("G",)),
+    ("aggregate G { member m: B", 26, "expected '}', found 'end of file'", ("G",)),
+    ("relation", 9, "expected relation name, found 'end of file'", ()),
+    ("relation r a, b)", 12, "expected '(', found 'a'", ("r",)),
+    ("relation r( , b)", 13, "expected subject kind, found ','", ("r",)),
+    ("relation r(a b)", 14, "expected ',', found 'b'", ("r",)),
+    ("relation r(a, )", 15, "expected object kind, found ')'", ("r",)),
+    ("relation r(a, b", 16, "expected ')', found 'end of file'", ("r",)),
+    ("transitional", 13, "expected transitional name, found 'end of file'", ()),
+    ("transitional t A { }", 16, "expected 'on', found 'A'", ("t",)),
+    ("transitional t on { }", 19, "expected bearer kind after 'on', found '{'", ("t",)),
+    ("transitional t on A", 20, "expected '{', found 'end of file'", ("t",)),
+    ("transitional t on A { require }", 31, "expected predicate name, found '}'", ("t",)),
+    ("transitional t on A { require p a, b) }", 33, "expected '(', found 'a'", ("t",)),
+    ("transitional t on A { require p(, b) }", 33, "expected term, found ','", ("t",)),
+    ("transitional t on A { require p(? , b) }", 35,
+     "expected variable name after '?', found ','", ("t",)),
+    ("transitional t on A { require p(a b) }", 35, "expected ',', found 'b'", ("t",)),
+    ("transitional t on A { require p(a, b }", 38, "expected ')', found '}'", ("t",)),
+    ("transitional t on A { create p(a, b) require p(a, b) }", 38,
+     "expected '}', found 'require'", ("t",)),
+    ("chain", 6,
+     "expected chain kind (sequence/mechanism/procedure/workflow), found 'end of file'", ()),
+    ("chain loop c { }", 7, "expected a chain kind, found 'loop'", ()),
+    ("chain sequence", 15, "expected chain name, found 'end of file'", ()),
+    ("chain sequence c do x", 18, "expected '{', found 'do'", ("c",)),
+    ("chain sequence c { do }", 23, "expected transitional name after 'do', found '}'", ("c",)),
+    ("chain sequence c { bogus }", 20, "expected a step (do/if/while), found 'bogus'", ("c",)),
+    ("chain sequence c { if p(a, b) do x }", 31, "expected '{', found 'do'", ("c",)),
+    ("chain sequence c { do x", 24, "expected '}', found 'end of file'", ("c",)),
+    ("disposition", 12, "expected disposition name, found 'end of file'", ()),
+    ("disposition d A", 15, "expected 'on', found 'A'", ("d",)),
+    ("disposition d on when p(a, b) realize t", 23, "expected 'when', found 'p'", ("d",)),
+    ("disposition d on A p(a, b)", 20, "expected 'when', found 'p'", ("d",)),
+    ("disposition d on A when p(a, b) t", 33, "expected 'realize', found 't'", ("d",)),
+    ("disposition d on A when p(a, b) realize", 40,
+     "expected transitional name after 'realize', found 'end of file'", ("d",)),
+    ("world", 6, "expected world name, found 'end of file'", ()),
+    ("world w spawn", 9, "expected '{', found 'spawn'", ()),
+    ("world w { spawn }", 17, "expected instance name, found '}'", ()),
+    ("world w { spawn l A }", 19, "expected ':', found 'A'", ()),
+    ("world w { spawn l: }", 20, "expected schema name, found '}'", ()),
+    ("world w { spawn l: A color = }", 30, "expected term, found '}'", ()),
+    ("world w { assert }", 18, "expected predicate name, found '}'", ()),
+    ("world w { bogus }", 11, "expected 'spawn' or 'assert', found 'bogus'", ()),
+    ("world w {", 10, "expected '}', found 'end of file'", ()),
+    ("claim", 6, "expected claim name, found 'end of file'", ()),
+    ("claim c", 8, "expected claim statement, found 'end of file'", ()),
+    ('claim c "s" evidence', 21, "expected evidence artifact, found 'end of file'", ()),
+    ('claim c "s" evidence e', 23, "expected evidence note, found 'end of file'", ()),
+]
+
+
+@pytest.mark.parametrize("text, column, message, dropped", PARSE_ERRORS,
+                         ids=[row[0] for row in PARSE_ERRORS])
+def test_each_parse_error_site_reports_one_positioned_diagnostic(text, column, message, dropped):
+    module, diagnostics = parse_module(text)
+    assert [(d.span.line, d.span.column, d.message) for d in diagnostics] == [(1, column, message)]
+    assert module.dropped == dropped
+
+
+PHANTOM = """quality hue { red }
+object Lamp {
+  quality a: hue
+  bogus
+  quality b: hue
+}
+relation lit(b, b)
+"""
+
+
+def test_resync_skips_a_quality_slot_of_the_body_it_leaves():
+    module, diagnostics = parse_module(PHANTOM)
+    assert [(d.span.line, d.span.column, d.message) for d in diagnostics] == [
+        (4, 3, "expected an object item (quality/part/function/role), found 'bogus'")
+    ]
+    assert module.dropped == ("Lamp",)  # not "b": "quality b: hue" declares nothing
+    assert [decl.name for decl in module.decls] == ["hue", "lit"]
+    result = compile_sources({"m": PHANTOM})
+    assert [(d.span.line, d.span.column, d.code, d.message) for d in result.diagnostics] == [
+        (4, 3, "SyntaxError",
+         "expected an object item (quality/part/function/role), found 'bogus'"),
+        (7, 1, "DanglingReference", "'b' is not declared in this module or its imports"),
+    ]
+
+
+def test_an_unclosed_body_resyncs_at_the_next_declaration():
+    module, diagnostics = parse_module(
+        "quality hue { red }\nobject Lamp {\n  quality a: hue\nobject B { }\n"
+    )
+    assert [(d.span.line, d.span.column, d.message) for d in diagnostics] == [
+        (4, 1, "expected an object item (quality/part/function/role), found 'object'")
+    ]
+    assert module.dropped == ("Lamp",)
+    assert [decl.name for decl in module.decls] == ["hue", "B"]
 
 
 # --- generated round-trip property ------------------------------------------------
