@@ -24,7 +24,7 @@ RECURSIVE_COMPOSITION = "RecursiveComposition"
 INVALID_CHAIN = "InvalidChain"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """Position of a source region: 1-based line/column plus absolute offset."""
 
@@ -37,7 +37,7 @@ class Span:
 DUMMY_SPAN = Span(0, 0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     severity: str
     code: str

@@ -15,14 +15,14 @@ def _span_field():
     return field(compare=False, kw_only=True, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermNode:
     kind: str  # var | ident | string
     value: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternNode:
     predicate: str
     subject: TermNode
@@ -30,20 +30,20 @@ class PatternNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImportNode:
     module: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualityNode:
     name: str
     determinants: tuple[str, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualitySlotNode:
     determinable: str
     ontology: str
@@ -51,7 +51,7 @@ class QualitySlotNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartNode:
     slot: str
     schema: str
@@ -60,20 +60,20 @@ class PartNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionNode:
     name: str
     serves: str | None = None
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleNode:
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectNode:
     name: str
     parent: str | None
@@ -81,14 +81,14 @@ class ObjectNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemberNode:
     slot: str
     schema: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkNode:
     relation: str
     subject_slot: str
@@ -96,7 +96,7 @@ class LinkNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateNode:
     name: str
     members: tuple[MemberNode, ...]
@@ -104,7 +104,7 @@ class AggregateNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationNode:
     name: str
     subject_kind: str
@@ -113,14 +113,14 @@ class RelationNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EditNode:
     op: str  # delete | create
     pattern: PatternNode
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionalNode:
     name: str
     bearer: str
@@ -129,14 +129,14 @@ class TransitionalNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoNode:
     transitional: str
     intervention: bool = False
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IfNode:
     condition: PatternNode
     then_steps: tuple
@@ -144,14 +144,14 @@ class IfNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WhileNode:
     condition: PatternNode
     body: tuple
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainNode:
     name: str
     kind: str  # sequence | mechanism | procedure | workflow
@@ -159,7 +159,7 @@ class ChainNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DispositionNode:
     name: str
     bearer: str
@@ -168,14 +168,14 @@ class DispositionNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssignNode:
     determinable: str
     value: TermNode
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpawnNode:
     instance: str
     schema: str
@@ -183,7 +183,7 @@ class SpawnNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorldNode:
     name: str
     spawns: tuple[SpawnNode, ...]
@@ -191,14 +191,14 @@ class WorldNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceNode:
     ref: str
     note: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClaimNode:
     name: str
     statement: str
@@ -219,7 +219,7 @@ Declaration = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceModule:
     """One parsed .xfo module: imports plus declarations, with a facet label
     and the file name its diagnostics carry. ``dropped`` names the schema

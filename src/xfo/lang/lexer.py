@@ -6,14 +6,17 @@ blanks (spaces, tabs, carriage returns) before it as a prefix, so blanks cost
 no match of their own, then exactly one numbered group: 1 a newline, which
 advances the line, 2 a comment, 3 an identifier, 4 a string (5 its closing
 quote, empty when it is unterminated), 6 a punctuation mark, 7 any other
-character, which is an error. A token is a flat record of its kind, text and
-position (line, column, offset, length); its ``Span`` is built on demand, for
-a diagnostic or a node's extent, not once per token."""
+character, which is an error.
+
+A token is an exact tuple ``(kind, text, line, column, offset, length)``, read
+through the indexes ``KIND`` ... ``LENGTH``. CPython's cyclic collector untracks
+an exact tuple of strings and ints the first time it examines it, so later
+collections skip a module's thousands of tokens (it never untracks a tuple
+subclass such as a NamedTuple). ``span`` builds a token's ``Span`` on demand."""
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from ..diagnostics import ERROR, SYNTAX, Diagnostic, Span
 
@@ -63,24 +66,19 @@ _TOKEN = re.compile(
 _NEWLINE, _COMMENT, _IDENT, _STRING, _CLOSE, _PUNCT_GROUP = 1, 2, 3, 4, 5, 6
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str  # a string token's decoded value
-    line: int
-    column: int
-    offset: int
-    length: int  # of the source text, quotes and escapes included
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.column, self.length, self.offset)
+# The fields of a token, by index. TEXT is a string token's decoded value;
+# LENGTH is that of the source text, quotes and escapes included.
+KIND, TEXT, LINE, COLUMN, OFFSET, LENGTH = range(6)
 
 
-def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
-    tokens: list[Token] = []
+def span(token: tuple) -> Span:
+    return Span(token[LINE], token[COLUMN], token[LENGTH], token[OFFSET])
+
+
+def tokenize(source: str, file: str = "<input>") -> tuple[list[tuple], list[Diagnostic]]:
+    tokens: list[tuple] = []
     diagnostics: list[Diagnostic] = []
     append = tokens.append
-    new = tuple.__new__  # a Token without the Python frame of Token.__new__
     line, line_start = 1, 0
     for match in _TOKEN.finditer(source):
         group = match.lastindex
@@ -93,20 +91,18 @@ def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diag
         text = match[group]
         column = start - line_start + 1
         if group == _IDENT:
-            append(new(Token, (IDENT, text, line, column, start, end - start)))
+            append((IDENT, text, line, column, start, end - start))
         elif group == _PUNCT_GROUP:
-            append(new(Token, (_PUNCT[text], text, line, column, start, 1)))
+            append((_PUNCT[text], text, line, column, start, 1))
         elif group == _STRING:
             closed = match[_CLOSE]
             value = text[1 : len(text) - len(closed)]
             if "\\" in value:
                 value = _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), value)
+            append((STRING, value, line, column, start, end - start))
             if not closed:
-                diagnostics.append(
-                    Diagnostic(ERROR, SYNTAX, "unterminated string literal", file,
-                               Span(line, column, end - start, start))
-                )
-            append(new(Token, (STRING, value, line, column, start, end - start)))
+                diagnostics.append(Diagnostic(ERROR, SYNTAX, "unterminated string literal",
+                                              file, span(tokens[-1])))
             if "\n" in text:
                 line += text.count("\n")
                 line_start = start + text.rindex("\n") + 1
@@ -116,5 +112,5 @@ def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diag
                            Span(line, column, 1, start))
             )
     end = len(source)
-    append(new(Token, (EOF, "", line, end - line_start + 1, end, 0)))
+    append((EOF, "", line, end - line_start + 1, end, 0))
     return tokens, diagnostics

@@ -1,7 +1,7 @@
 """Recursive-descent parser for .xfo modules.
 
 The parse is total: on a syntax error it records a positioned diagnostic and
-resumes at the next top-level declaration keyword, so one typo does not hide
+resumes at the next declaration (see ``Parser.sync``), so one typo does not hide
 later errors.
 """
 
@@ -12,7 +12,8 @@ import re
 from ..diagnostics import ERROR, SYNTAX, Diagnostic, Span
 from ..schemas import CHAIN_KINDS
 from . import ast
-from .lexer import COLON, EOF, EQUALS, IDENT, STRING, Token, tokenize
+from .lexer import COLON, COLUMN, EOF, EQUALS, IDENT, KIND, LBRACE, LENGTH, LINE, OFFSET
+from .lexer import RBRACE, STRING, TEXT, span, tokenize
 
 _FACET_RE = re.compile(r"^\s*#\s*facet\s*:\s*([A-Za-z_][A-Za-z0-9_\-]*)\s*$", re.MULTILINE)
 
@@ -22,7 +23,7 @@ class _ParseError(Exception):
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], file: str, source: str):
+    def __init__(self, tokens: list[tuple], file: str, source: str):
         self.tokens = tokens
         self.file = file
         self.source = source
@@ -32,19 +33,17 @@ class Parser:
 
     # -- token plumbing -------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]  # ``advance`` stops at EOF, the last token
+    def peek(self) -> tuple:
+        return self.tokens[self.pos]  # the parse never moves past EOF, the last token
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != EOF:
-            self.pos += 1
-        return token
+    def advance(self) -> tuple:
+        self.pos += 1  # every caller has seen that the token is not EOF
+        return self.tokens[self.pos - 1]
 
     def at(self, word: str) -> bool:
         """Whether the next token is the keyword or punctuation mark ``word``."""
         token = self.tokens[self.pos]
-        return token.text == word and token.kind != STRING
+        return token[TEXT] == word and token[KIND] != STRING
 
     def accept(self, word: str) -> bool:
         """Consume the next token if it is ``word``; say whether it was."""
@@ -53,15 +52,15 @@ class Parser:
             return True
         return False
 
-    def error(self, message: str, token: Token | None = None) -> _ParseError:
+    def error(self, message: str, token: tuple | None = None) -> _ParseError:
         token = token or self.peek()
-        self.diagnostics.append(Diagnostic(ERROR, SYNTAX, message, self.file, token.span))
+        self.diagnostics.append(Diagnostic(ERROR, SYNTAX, message, self.file, span(token)))
         return _ParseError(message)
 
     def unexpected(self, what: str) -> _ParseError:
         token = self.peek()
-        end = token.offset + token.length
-        found = "end of file" if token.kind == EOF else self.source[token.offset : end]
+        end = token[OFFSET] + token[LENGTH]
+        found = "end of file" if token[KIND] == EOF else self.source[token[OFFSET] : end]
         return self.error(f"expected {what}, found {found!r}")
 
     def expect(self, word: str) -> None:
@@ -71,10 +70,10 @@ class Parser:
     def take(self, kind: str, what: str) -> str:
         """The text of the next token, which must be of ``kind``."""
         token = self.tokens[self.pos]
-        if token.kind != kind:
+        if token[KIND] != kind:
             raise self.unexpected(what)
         self.pos += 1
-        return token.text
+        return token[TEXT]
 
     def ident(self, what: str) -> str:
         return self.take(IDENT, what)
@@ -95,32 +94,40 @@ class Parser:
     def span_from(self, start_index: int) -> Span:
         start = self.tokens[start_index]
         last = self.tokens[max(start_index, self.pos - 1)]
-        length = max(last.offset + last.length - start.offset, 0)
-        return Span(start.line, start.column, length, start.offset)
+        length = max(last[OFFSET] + last[LENGTH] - start[OFFSET], 0)
+        return Span(start[LINE], start[COLUMN], length, start[OFFSET])
 
     def block(self, item) -> tuple:
         """``{ item* }``: the items parsed up to the closing brace."""
         self.expect("{")
         items = []
-        while not self.at("}") and self.peek().kind != EOF:
+        while not self.at("}") and self.peek()[KIND] != EOF:
             items.append(item())
         self.expect("}")
         return tuple(items)
 
-    def sync(self) -> None:
-        """Skip to the next declaration keyword outside braces. ``quality NAME :``
-        is a quality slot of the object body the error left, not a declaration."""
-        depth = 0
-        while (token := self.peek()).kind != EOF:
-            if not depth and token.kind == IDENT and token.text in DECL_KEYWORDS:
-                after = [t.kind for t in self.tokens[self.pos + 1 : self.pos + 3]]
-                if token.text != "quality" or after != [IDENT, COLON]:
+    def sync(self, start: int) -> None:
+        """Skip to the next declaration keyword outside the braces opened since the
+        error; ``start`` indexes the failed declaration's keyword. In the body the
+        error was in, a keyword may be a name (``part q: world``), so it counts only
+        at the start of a line; after that body's ``}``, anywhere. ``quality NAME :``
+        is a quality slot of the body, never a declaration."""
+        tokens, depth = self.tokens, 0  # depth: braces opened since the error
+        inside = sum((t[KIND] == LBRACE) - (t[KIND] == RBRACE) for t in tokens[start : self.pos])
+        while (token := tokens[self.pos])[KIND] != EOF:
+            if not depth and token[KIND] == IDENT and token[TEXT] in DECL_KEYWORDS:
+                before = tokens[self.pos - 1]
+                starts_line = "\n" in self.source[before[OFFSET] + before[LENGTH] : token[OFFSET]]
+                after = [t[KIND] for t in tokens[self.pos + 1 : self.pos + 3]]
+                slot = token[TEXT] == "quality" and after == [IDENT, COLON]
+                if (inside <= 0 or starts_line) and not slot:
                     return
-            if self.at("{"):
+            if token[KIND] == LBRACE:
                 depth += 1
-            elif self.at("}"):
+            elif token[KIND] == RBRACE:
+                inside -= not depth  # it closes a body left open at the error
                 depth = max(depth - 1, 0)
-            self.advance()
+            self.pos += 1
 
     # -- module ----------------------------------------------------------------
 
@@ -128,12 +135,12 @@ class Parser:
         imports: list[ast.ImportNode] = []
         decls: list = []
         dropped: list[str] = []
-        while self.peek().kind != EOF:
+        while self.peek()[KIND] != EOF:
             start = self.pos
             self.declaring = None
             try:
                 token = self.peek()
-                parse = _DECLS.get(token.text) if token.kind == IDENT else None
+                parse = _DECLS.get(token[TEXT]) if token[KIND] == IDENT else None
                 if parse is None:
                     raise self.unexpected("a declaration keyword")
                 self.advance()
@@ -142,8 +149,8 @@ class Parser:
             except _ParseError:
                 if self.declaring is not None:
                     dropped.append(self.declaring)
-                self.sync()
-        end = self.tokens[-1].offset  # EOF offset == source length
+                self.sync(start)
+        end = self.tokens[-1][OFFSET]  # EOF offset == source length
         return ast.SourceModule(
             name, facet, tuple(imports), tuple(decls), span=Span(1, 1, end, 0), file=self.file,
             dropped=tuple(dropped),
@@ -248,8 +255,8 @@ class Parser:
         if self.accept("?"):
             name = self.ident("variable name after '?'")
             return ast.TermNode("var", name, span=self.span_from(start))
-        if self.peek().kind == STRING:
-            value = self.advance().text
+        if self.peek()[KIND] == STRING:
+            value = self.advance()[TEXT]
             return ast.TermNode("string", value, span=self.span_from(start))
         value = self.ref("term")
         return ast.TermNode("ident", value, span=self.span_from(start))
@@ -265,7 +272,7 @@ class Parser:
         edits: list[ast.EditNode] = []
         while self.at("delete") or self.at("create"):
             edit_start = self.pos
-            op = self.advance().text
+            op = self.advance()[TEXT]
             edits.append(ast.EditNode(op, self.pattern(), span=self.span_from(edit_start)))
         self.expect("}")
         return ast.TransitionalNode(
@@ -324,9 +331,9 @@ class Parser:
             assignments: list[ast.AssignNode] = []
             # Assignments are IDENT '=' term; anything else ends the spawn.
             # An IDENT is never the last token, so pos + 1 is in range.
-            while self.peek().kind == IDENT and self.tokens[self.pos + 1].kind == EQUALS:
+            while self.peek()[KIND] == IDENT and self.tokens[self.pos + 1][KIND] == EQUALS:
                 assign_start = self.pos
-                determinable = self.advance().text
+                determinable = self.advance()[TEXT]
                 self.advance()  # '='
                 assignments.append(
                     ast.AssignNode(determinable, self.term(), span=self.span_from(assign_start))

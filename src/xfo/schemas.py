@@ -1,8 +1,8 @@
 """Universal definitions: the immutable schema values a registry holds.
 
 Schemas describe types (Universals); live entities (Particulars) exist only
-in a relation store. Everything here is a frozen dataclass so a resolved
-registry can be shared freely.
+in a relation store. Everything here is a frozen, slotted dataclass so a
+resolved registry can be shared freely.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ CONST = "const"
 TEXT = "text"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """One argument position of a pattern: a ?variable, identifier, or string."""
 
@@ -44,7 +44,7 @@ def text(value: str) -> Term:
 BEARER = var("bearer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pattern:
     predicate: str
     subject: Term
@@ -60,16 +60,12 @@ class Pattern:
         return f"{self.predicate}({source(self.subject)}, {source(self.object)})"
 
     def variables(self) -> tuple[str, ...]:
-        out = []
-        for term in (self.subject, self.object):
-            if term.kind == VAR:
-                out.append(term.value)
-        return tuple(out)
+        return tuple(term.value for term in (self.subject, self.object) if term.kind == VAR)
 
 
 # --- quality ontologies ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualityOntology:
     """A determinable with its closed, ordered set of determinant values."""
 
@@ -93,14 +89,14 @@ COMPOSITION = "composition"
 CONTAINMENT = "containment"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualitySlot:
     determinable: str
     ontology: str
     required: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartSlot:
     slot: str
     schema: str
@@ -108,7 +104,7 @@ class PartSlot:
     linkage: str = COMPOSITION
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThickObjectSchema:
     """A structured object definition: qualities, parts with functions,
     realizables, and an optional location slot."""
@@ -167,20 +163,20 @@ def flatten_object(child: ThickObjectSchema, parent: ThickObjectSchema) -> Thick
 
 # --- aggregates --------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateMember:
     slot: str
     schema: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateLink:
     relation: str
     subject_slot: str
     object_slot: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateSchema:
     """A collection of co-equal members defined by the network of their links."""
 
@@ -197,7 +193,7 @@ class AggregateSchema:
 
 # --- relations -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationSchema:
     name: str
     subject_kind: str
@@ -212,7 +208,7 @@ DISPOSITION = kinds.DISPOSITION
 FUNCTION = kinds.FUNCTION
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealizableSchema:
     """A Role, Disposition, or Function, with the variant-specific fields."""
 
@@ -226,7 +222,7 @@ class RealizableSchema:
     serves: str | None = None            # Functions: the Need served
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Need:
     name: str
     description: str = ""
@@ -238,13 +234,13 @@ DELETE = "delete"
 CREATE = "create"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edit:
     op: str
     pattern: Pattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionalSchema:
     """An atomic, guarded relationship edit bound to a bearer kind.
 
@@ -287,20 +283,20 @@ WORKFLOW = "workflow"
 CHAIN_KINDS = (SEQUENCE, MECHANISM, PROCEDURE, WORKFLOW)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoStep:
     transitional: str
     intervention: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IfStep:
     condition: Pattern
     then_steps: tuple = ()
     else_steps: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WhileStep:
     condition: Pattern
     body: tuple = ()
@@ -309,7 +305,7 @@ class WhileStep:
 Step = DoStep | IfStep | WhileStep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainSchema:
     name: str
     kind: str
@@ -343,7 +339,7 @@ def step_depth(steps: tuple[Step, ...]) -> int:
 
 # --- processes -----------------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessSchema:
     """A named continuous activity with its participant kinds."""
 
@@ -353,27 +349,27 @@ class ProcessSchema:
 
 # --- microworld and claim definitions (compile output, not registry content) ---------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpawnDef:
     instance: str
     schema: str
     assignments: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorldDef:
     name: str
     spawns: tuple[SpawnDef, ...] = ()
     asserts: tuple[Pattern, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceDef:
     ref: str
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClaimDef:
     name: str
     statement: str

@@ -32,7 +32,7 @@ ABORTED = "aborted"
 LOOP_CAP_REASON = "NonterminatingChain"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppliedTransition:
     transitional: str
     bearer: str
@@ -42,7 +42,7 @@ class AppliedTransition:
     creates: tuple[tuple[str, str, str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockedTransition:
     transitional: str
     bearer: str

@@ -1,7 +1,7 @@
 """Differential tests of the compile front end against the code it replaced.
 
-``reference_tokenize`` is the per-character lexer that built one Token and
-one Span per token, kept here as the oracle with two position fixes applied:
+``reference_tokenize`` is the per-character lexer that built one token object
+and one Span per token, kept here as the oracle with two position fixes applied:
 a comment advances the column, and an escaped newline inside a string
 starts a new line. ``asdict_fingerprint`` is the registry fingerprint as
 ``dataclasses.asdict`` of every schema plus its ``__type__``.
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from xfo import compile_modules, parse_module
 from xfo.diagnostics import ERROR, SYNTAX, Diagnostic, Span
-from xfo.lang.lexer import _PUNCT, EOF, IDENT, STRING, tokenize
+from xfo.lang.lexer import _PUNCT, EOF, IDENT, KIND, STRING, TEXT, span, tokenize
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
@@ -94,7 +94,8 @@ def reference_tokenize(source, file="<input>"):
 
 def assert_same_as_reference(source):
     tokens, diagnostics = tokenize(source, "t.xfo")
-    assert ([(t.kind, t.text, t.span) for t in tokens], diagnostics) == reference_tokenize(
+    assert all(type(t) is tuple and len(t) == 6 for t in tokens)
+    assert ([(t[KIND], t[TEXT], span(t)) for t in tokens], diagnostics) == reference_tokenize(
         source, "t.xfo"
     )
 

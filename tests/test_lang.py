@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import gc
 import string
 
 import pytest
@@ -5,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xfo import module_to_source, parse_module
+from xfo.diagnostics import Span
 from xfo.lang import ast
-from xfo.lang.lexer import EOF, IDENT, STRING, tokenize
+from xfo.lang.lexer import EOF, KIND, TEXT, span, tokenize
+from xfo.schemas import CREATE, Edit, Pattern, TransitionalSchema, const, var
+from xfo.transitions import AppliedTransition
 
 from conftest import CORPUS_FILES, MODELS_DIR
 from helpers import compile_sources
@@ -179,14 +185,13 @@ def test_spans_cover_all_tokens_in_corpus():
         assert diagnostics == []
         spans = [node.span for node in (*module.imports, *module.decls)]
         for token in tokens:
-            if token.kind == EOF:
+            if token[KIND] == EOF:
                 continue
+            t = span(token)
             covered = any(
-                s.offset <= token.span.offset
-                and token.span.offset + token.span.length <= s.offset + s.length
-                for s in spans
+                s.offset <= t.offset and t.offset + t.length <= s.offset + s.length for s in spans
             )
-            assert covered, f"{filename}: token {token.text!r} at {token.span} uncovered"
+            assert covered, f"{filename}: token {token[TEXT]!r} at {t} uncovered"
 
 
 def test_corpus_round_trips():
@@ -338,6 +343,53 @@ def test_an_unclosed_body_resyncs_at_the_next_declaration():
     ]
     assert module.dropped == ("Lamp",)
     assert [decl.name for decl in module.decls] == ["hue", "B"]
+
+
+def test_resync_passes_over_a_keyword_used_as_a_name_in_the_body_it_leaves():
+    module, diagnostics = parse_module(
+        'object world { }\nobject A {\n  bogus\n  part q: world function "y"\n}\n'
+    )
+    assert [(d.span.line, d.span.column, d.message) for d in diagnostics] == [
+        (3, 3, "expected an object item (quality/part/function/role), found 'bogus'")
+    ]
+    assert module.dropped == ("A",)
+    assert [decl.name for decl in module.decls] == ["world"]
+
+
+def test_resync_resumes_after_the_brace_that_closes_the_body_on_one_line():
+    module, diagnostics = parse_module("object A { bogus } object B { }")
+    assert [(d.span.line, d.span.column, d.message) for d in diagnostics] == [
+        (1, 12, "expected an object item (quality/part/function/role), found 'bogus'")
+    ]
+    assert module.dropped == ("A",)
+    assert [decl.name for decl in module.decls] == ["B"]
+
+
+# --- records the cyclic collector skips or walks cheaply ------------------------------
+
+def test_tokens_are_untracked_and_bulk_records_are_slotted():
+    tokens = [t for f in CORPUS_FILES for t in tokenize((MODELS_DIR / f).read_text())[0]]
+    gc.collect()
+    assert tokens and not any(gc.is_tracked(t) for t in tokens)
+
+    pattern = Pattern("hue", var("bearer"), const("red"))
+    module, _ = parse_module("quality hue { red }")
+    records = [
+        Span(1, 2, 3, 4),
+        module.decls[0],
+        pattern,
+        TransitionalSchema("redden", "Lamp", (pattern,), (Edit(CREATE, pattern),)),
+        AppliedTransition("redden", "l1", 3, (("x", "l2"),), (), (("l1", "hue", "red"),)),
+    ]
+    for record in records:
+        twin = copy.deepcopy(record)
+        assert twin is not record and twin == record and hash(twin) == hash(record)
+        first = dataclasses.fields(record)[0].name
+        changed = dataclasses.replace(record, **{first: 0})
+        assert getattr(changed, first) == 0 and changed != record
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, first, 0)
+        assert not hasattr(record, "__dict__")
 
 
 # --- generated round-trip property ------------------------------------------------
