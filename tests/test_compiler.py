@@ -3,7 +3,7 @@ from helpers import compile_ok, compile_sources, count_calls
 
 import xfo.lang.compiler
 import xfo.registry
-from xfo import compile_modules, parse_module
+from xfo import compile_modules, parse_module, schemas
 from xfo.cli import main
 from xfo.lang import ast
 from xfo.lang.compiler import module_fingerprint
@@ -420,3 +420,66 @@ def test_repeated_determinant_is_one_diagnostic():
         ("DuplicateName", 1, 1, "quality 'hue' repeats a determinant")
     ]
     assert not result.ok
+
+
+def test_function_items_lower_to_realizables_and_their_needs():
+    result = compile_ok({"m": COMMON + (
+        "object Oven { function bakes serves firing  function warms  role host }\n"
+    )})
+    registry = result.registry
+    assert registry.object_schema("Oven").realizables == ("bakes", "warms", "host")
+    assert registry.realizable("bakes") == schemas.RealizableSchema(
+        "bakes", schemas.FUNCTION, bearer_kind="Oven", serves="firing"
+    )
+    assert registry.realizable("warms") == schemas.RealizableSchema(
+        "warms", schemas.FUNCTION, bearer_kind="Oven"
+    )
+    assert registry.realizable("host") == schemas.RealizableSchema(
+        "host", schemas.ROLE, bearer_kind="Oven"
+    )
+    assert registry.need("firing") == schemas.Need("firing")
+    assert [need.name for need in registry.schemas.values() if type(need) is schemas.Need] == [
+        "firing"
+    ]
+
+
+def test_a_repeated_world_or_claim_keeps_the_first_and_is_reported_at_the_repeat():
+    result = compile_sources({"m": COMMON + (
+        "world w { spawn k: Kiln }\nworld w { spawn j: Kiln }\n"
+        'claim c "first" evidence Kiln "a note"\nclaim c "second"\n'
+    )})
+    assert [(d.code, d.span.line, d.span.column, d.message) for d in result.diagnostics] == [
+        ("DuplicateName", 4, 1, "world 'w' is already defined"),
+        ("DuplicateName", 6, 1, "claim 'c' is already defined"),
+    ]
+    assert not result.ok
+    assert result.worlds == {"w": schemas.WorldDef("w", (schemas.SpawnDef("k", "Kiln", ()),), ())}
+    assert result.claims == (
+        schemas.ClaimDef("c", "first", (schemas.EvidenceDef("Kiln", "a note"),)),
+    )
+
+
+def test_a_declaration_named_after_an_upper_taxonomy_kind_is_reported_at_it():
+    for source in ("object Entity { }\n", "quality Entity { a }\n"):
+        result = compile_sources({"m": source})
+        assert [(d.code, d.span.line, d.span.column, d.message) for d in result.diagnostics] == [
+            ("ReservedUpperTaxonomyName", 1, 1,
+             "'Entity' is an upper-taxonomy name and cannot be redeclared"),
+        ]
+        assert not result.ok
+
+
+def test_a_string_term_in_a_guard_lowers_to_a_text_term():
+    result = compile_ok({"m": (
+        "quality tag { x }\nobject Pot { quality label: tag }\n"
+        "transitional t on Pot {\n"
+        '  require label(bearer, "x")\n  delete label(bearer, "x")\n  create label(bearer, x)\n'
+        "}\n"
+    )})
+    text = schemas.Pattern("label", schemas.BEARER, schemas.text("x"))
+    assert result.registry.transitional("t") == schemas.TransitionalSchema(
+        "t", "Pot",
+        (text,),
+        (schemas.Edit(schemas.DELETE, text),
+         schemas.Edit(schemas.CREATE, schemas.Pattern("label", schemas.BEARER, schemas.const("x")))),
+    )
