@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import equivalence, microworld, transitions
-from .diagnostics import format_diagnostics, has_errors
+from .diagnostics import format_diagnostics
 from .discourse import CausalField, check_inus
 from .errors import XfoError
 from .foundry import Foundry
@@ -81,7 +81,7 @@ def _load(paths: list[str]):
 
 def _report(result, out, err) -> int:
     report = format_diagnostics(result.diagnostics)
-    if has_errors(result.diagnostics) or result.registry is None:
+    if not result.ok:
         if report:
             print(report, file=err)
         return 1

@@ -1,8 +1,13 @@
 """Compile parsed modules into a resolved Registry plus world definitions.
 
 Cross-module references resolve through explicit imports; importing the same
-module twice is deduplicated by content fingerprint. All registry errors
-surface as positioned diagnostics anchored at the offending declaration.
+module twice is deduplicated by content fingerprint. One ``_Lowering`` object
+per compile lowers every module into one RegistryBuilder; the ``_LOWER`` table
+maps each AST declaration type to the one ``*_decl`` method that lowers it, as
+the parser's ``_DECLS`` maps each keyword to the method that parses it. Worlds
+and claims follow one duplicate rule: the first definition of a name is kept
+and each repeat is reported where it is written. All registry errors surface
+as positioned diagnostics anchored at the offending declaration.
 """
 
 from __future__ import annotations
@@ -66,32 +71,46 @@ def module_fingerprint(module: ast.SourceModule) -> str:
 
 
 class _Lowering:
-    """Lowers one module's declarations with its visible-name set."""
+    """Lowers every module of one compile into one RegistryBuilder.
 
-    def __init__(self, module: ast.SourceModule, declared: dict[str, tuple[str, ...]],
-                 determinables: dict[str, tuple[str, ...]], diagnostics: list[Diagnostic],
-                 builder: RegistryBuilder, spans: dict[str, tuple[str, Span]],
-                 unresolved: set[str]):
-        self.file = module.file
+    It owns what a compile accumulates: the builder, the span of each
+    registered schema, the names already reported, the worlds and the claims.
+    """
+
+    def __init__(self, modules, diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics
-        self.builder = builder
-        self.spans = spans  # schema name -> (file, span)
-        self.unresolved = unresolved  # names already reported, here or by the parser
+        self.builder = RegistryBuilder()
+        self.spans: dict[str, tuple[str, Span]] = {}  # schema name -> (file, span)
+        # A declaration the parser dropped keeps its name: the syntax error is
+        # its one report, so neither lowering nor resolution reports the name again.
+        self.unresolved = {name for module in modules for name in module.dropped}
+        self.worlds: dict[str, schemas.WorldDef] = {}
+        self.claims: dict[str, schemas.ClaimDef] = {}
+        self.terms = {module.name: module.declared_names() for module in modules}
+        self.declared = {module.name: self.terms[module.name] + module.dropped
+                         for module in modules}
+        self.determinables = {module.name: module.determinable_names() for module in modules}
+
+    def lower(self, module: ast.SourceModule) -> ModuleInfo:
+        self.file = module.file
         # Own declarations plus those of imported modules: plain name -> owning module.
-        self.visible = dict.fromkeys(declared[module.name], module.name)
-        dets = set(determinables[module.name])
+        self.visible = dict.fromkeys(self.declared[module.name], module.name)
+        dets = set(self.determinables[module.name])
         for imp in module.imports:
-            if imp.module not in declared:
+            if imp.module not in self.declared:
                 self.error(
                     DANGLING_REFERENCE,
                     f"imported module {imp.module!r} is not among the compiled modules",
                     imp.span,
                 )
                 continue
-            for name in declared[imp.module]:
+            for name in self.declared[imp.module]:
                 self.visible.setdefault(name, imp.module)
-            dets.update(determinables[imp.module])
+            dets.update(self.determinables[imp.module])
         self.visible_determinables = frozenset(dets)
+        for decl in module.decls:
+            _LOWER[type(decl)](self, decl)
+        return ModuleInfo(module.name, self.terms[module.name], module.facet or "physical", module)
 
     def error(self, code: str, message: str, span: Span) -> None:
         self.diagnostics.append(Diagnostic(ERROR, code, message, self.file, span))
@@ -104,6 +123,13 @@ class _Lowering:
             self.error(RESERVED_NAME, str(exc), span)
         except DuplicateNameError as exc:
             self.error(DUPLICATE_NAME, str(exc), span)
+
+    def define(self, table: dict, what: str, decl, value) -> None:
+        """Keep the first world or claim of a name; report a repeat at itself."""
+        if decl.name in table:
+            self.error(DUPLICATE_NAME, f"{what} {decl.name!r} is already defined", decl.span)
+        else:
+            table[decl.name] = value
 
     def resolve_ref(self, name: str, span: Span) -> str:
         """Resolve a possibly qualified reference to a plain registry name.
@@ -173,6 +199,140 @@ class _Lowering:
                 out.append(schemas.WhileStep(self.pattern(node.condition), self.steps(node.body)))
         return tuple(out)
 
+    # -- declarations: one method per AST declaration type, named in _LOWER ----------
+
+    def quality_decl(self, decl: ast.QualityNode) -> None:
+        determinants = tuple(dict.fromkeys(decl.determinants))
+        if len(determinants) < len(decl.determinants):
+            self.error(DUPLICATE_NAME, f"quality {decl.name!r} repeats a determinant", decl.span)
+        self.register(schemas.QualityOntology(decl.name, determinants), decl.span)
+
+    def object_decl(self, decl: ast.ObjectNode) -> None:
+        qualities = []
+        parts = []
+        realizables = []
+        slots: set[tuple[str, str]] = set()
+        for item in decl.items:
+            if isinstance(item, (ast.FunctionNode, ast.RoleNode)):
+                function = isinstance(item, ast.FunctionNode)
+                realizable = schemas.RealizableSchema(
+                    item.name, schemas.FUNCTION if function else schemas.ROLE,
+                    bearer_kind=decl.name, serves=item.serves if function else None,
+                )
+                self.register(realizable, item.span)
+                realizables.append(item.name)
+                continue
+            quality = isinstance(item, ast.QualitySlotNode)
+            slot = ("quality", item.determinable) if quality else ("part", item.slot)
+            if slot in slots:
+                message = f"object {decl.name!r} repeats {slot[0]} slot {slot[1]!r}"
+                self.error(DUPLICATE_NAME, message, item.span)
+            elif quality:
+                slots.add(slot)
+                ontology = self.resolve_ref(item.ontology, item.span)
+                qualities.append(schemas.QualitySlot(item.determinable, ontology, item.required))
+            else:
+                slots.add(slot)
+                schema = self.resolve_ref(item.schema, item.span)
+                linkage = (
+                    schemas.CONTAINMENT if item.linkage == "contained" else schemas.COMPOSITION
+                )
+                parts.append(schemas.PartSlot(item.slot, schema, item.function, linkage))
+        parent = None
+        if decl.parent is not None:
+            parent = self.resolve_ref(decl.parent, decl.span)
+        self.register(
+            schemas.ThickObjectSchema(
+                decl.name,
+                parent=parent,
+                qualities=tuple(qualities),
+                parts=tuple(parts),
+                realizables=tuple(realizables),
+            ),
+            decl.span,
+        )
+
+    def aggregate_decl(self, decl: ast.AggregateNode) -> None:
+        members = tuple(
+            schemas.AggregateMember(m.slot, self.resolve_ref(m.schema, m.span))
+            for m in decl.members
+        )
+        links = tuple(
+            schemas.AggregateLink(
+                self.resolve_ref(link.relation, link.span), link.subject_slot, link.object_slot
+            )
+            for link in decl.links
+        )
+        self.register(schemas.AggregateSchema(decl.name, members, links), decl.span)
+
+    def relation_decl(self, decl: ast.RelationNode) -> None:
+        subject_kind = self.resolve_ref(decl.subject_kind, decl.span)
+        object_kind = self.resolve_ref(decl.object_kind, decl.span)
+        self.register(
+            schemas.RelationSchema(decl.name, subject_kind, object_kind, decl.relational_quality),
+            decl.span,
+        )
+
+    def transitional_decl(self, decl: ast.TransitionalNode) -> None:
+        bearer = self.resolve_ref(decl.bearer, decl.span)
+        guards = tuple(self.pattern(node, bearer_scope=True) for node in decl.requires)
+        edits = tuple(
+            schemas.Edit(node.op, self.pattern(node.pattern, bearer_scope=True))
+            for node in decl.edits
+        )
+        self.register(schemas.TransitionalSchema(decl.name, bearer, guards, edits), decl.span)
+
+    def chain_decl(self, decl: ast.ChainNode) -> None:
+        chain = schemas.ChainSchema(decl.name, decl.kind, self.steps(decl.steps))
+        self.register(chain, decl.span)
+
+    def disposition_decl(self, decl: ast.DispositionNode) -> None:
+        bearer = self.resolve_ref(decl.bearer, decl.span)
+        realization = self.resolve_ref(decl.realization, decl.span)
+        trigger = self.pattern(decl.trigger, bearer_scope=True)
+        self.register(
+            schemas.RealizableSchema(
+                decl.name,
+                schemas.DISPOSITION,
+                bearer_kind=bearer,
+                trigger=trigger,
+                realization=realization,
+            ),
+            decl.span,
+        )
+
+    def world_decl(self, decl: ast.WorldNode) -> None:
+        spawns = tuple(
+            schemas.SpawnDef(
+                node.instance,
+                self.resolve_ref(node.schema, node.span),
+                tuple((assign.determinable, assign.value.value) for assign in node.assignments),
+            )
+            for node in decl.spawns
+        )
+        asserts = [self.pattern(node, ground=True) for node in decl.asserts]
+        world = schemas.WorldDef(decl.name, spawns, tuple(p for p in asserts if p is not None))
+        self.define(self.worlds, "world", decl, world)
+
+    def claim_decl(self, decl: ast.ClaimNode) -> None:
+        evidence = tuple(schemas.EvidenceDef(e.ref, e.note) for e in decl.evidence)
+        claim = schemas.ClaimDef(decl.name, decl.statement, evidence)
+        self.define(self.claims, "claim", decl, claim)
+
+
+# AST declaration type -> the _Lowering method that lowers it.
+_LOWER = {
+    ast.QualityNode: _Lowering.quality_decl,
+    ast.ObjectNode: _Lowering.object_decl,
+    ast.AggregateNode: _Lowering.aggregate_decl,
+    ast.RelationNode: _Lowering.relation_decl,
+    ast.TransitionalNode: _Lowering.transitional_decl,
+    ast.ChainNode: _Lowering.chain_decl,
+    ast.DispositionNode: _Lowering.disposition_decl,
+    ast.WorldNode: _Lowering.world_decl,
+    ast.ClaimNode: _Lowering.claim_decl,
+}
+
 
 def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
     """Register, resolve, and validate a set of parsed modules.
@@ -199,214 +359,25 @@ def compile_modules(modules: list[ast.SourceModule]) -> CompileResult:
                     module.span,
                 )
             )
-    unique = by_name.values()
 
-    # A declaration the parser dropped keeps its name: the syntax error is its
-    # one report, so neither lowering nor resolution reports the name again.
-    terms = {module.name: module.declared_names() for module in unique}
-    declared: dict[str, tuple[str, ...]] = {
-        module.name: terms[module.name] + module.dropped for module in unique
-    }
-
-    determinables: dict[str, tuple[str, ...]] = {
-        module.name: module.determinable_names() for module in unique
-    }
-
-    builder = RegistryBuilder()
-    spans: dict[str, tuple[str, Span]] = {}
-    unresolved = {name for module in unique for name in module.dropped}
-    worlds: dict[str, schemas.WorldDef] = {}
-    claims: list[schemas.ClaimDef] = []
-    infos: list[ModuleInfo] = []
-
-    for module in unique:
-        lowering = _Lowering(
-            module, declared, determinables, diagnostics, builder, spans, unresolved
-        )
-        register = lowering.register
-        for decl in module.decls:
-            if isinstance(decl, ast.QualityNode):
-                determinants = tuple(dict.fromkeys(decl.determinants))
-                if len(determinants) < len(decl.determinants):
-                    message = f"quality {decl.name!r} repeats a determinant"
-                    lowering.error(DUPLICATE_NAME, message, decl.span)
-                register(schemas.QualityOntology(decl.name, determinants), decl.span)
-            elif isinstance(decl, ast.ObjectNode):
-                _lower_object(decl, lowering)
-            elif isinstance(decl, ast.AggregateNode):
-                members = tuple(
-                    schemas.AggregateMember(m.slot, lowering.resolve_ref(m.schema, m.span))
-                    for m in decl.members
-                )
-                links = tuple(
-                    schemas.AggregateLink(
-                        lowering.resolve_ref(l.relation, l.span),
-                        l.subject_slot,
-                        l.object_slot,
-                    )
-                    for l in decl.links
-                )
-                register(schemas.AggregateSchema(decl.name, members, links), decl.span)
-            elif isinstance(decl, ast.RelationNode):
-                register(
-                    schemas.RelationSchema(
-                        decl.name,
-                        lowering.resolve_ref(decl.subject_kind, decl.span),
-                        lowering.resolve_ref(decl.object_kind, decl.span),
-                        decl.relational_quality,
-                    ),
-                    decl.span,
-                )
-            elif isinstance(decl, ast.TransitionalNode):
-                bearer = lowering.resolve_ref(decl.bearer, decl.span)
-                guards = [lowering.pattern(node, bearer_scope=True) for node in decl.requires]
-                edits = [
-                    schemas.Edit(node.op, lowering.pattern(node.pattern, bearer_scope=True))
-                    for node in decl.edits
-                ]
-                register(
-                    schemas.TransitionalSchema(
-                        decl.name, bearer, tuple(guards), tuple(edits)
-                    ),
-                    decl.span,
-                )
-            elif isinstance(decl, ast.ChainNode):
-                register(
-                    schemas.ChainSchema(decl.name, decl.kind, lowering.steps(decl.steps)),
-                    decl.span,
-                )
-            elif isinstance(decl, ast.DispositionNode):
-                bearer = lowering.resolve_ref(decl.bearer, decl.span)
-                realization = lowering.resolve_ref(decl.realization, decl.span)
-                trigger = lowering.pattern(decl.trigger, bearer_scope=True)
-                register(
-                    schemas.RealizableSchema(
-                        decl.name,
-                        schemas.DISPOSITION,
-                        bearer_kind=bearer,
-                        trigger=trigger,
-                        realization=realization,
-                    ),
-                    decl.span,
-                )
-            elif isinstance(decl, ast.WorldNode):
-                world = _lower_world(decl, lowering)
-                if decl.name in worlds:
-                    lowering.error(
-                        DUPLICATE_NAME, f"world {decl.name!r} is already defined", decl.span
-                    )
-                else:
-                    worlds[decl.name] = world
-            elif isinstance(decl, ast.ClaimNode):
-                if any(c.name == decl.name for c in claims):
-                    lowering.error(
-                        DUPLICATE_NAME, f"claim {decl.name!r} is already defined", decl.span
-                    )
-                else:
-                    claims.append(
-                        schemas.ClaimDef(
-                            decl.name,
-                            decl.statement,
-                            tuple(
-                                schemas.EvidenceDef(e.ref, e.note) for e in decl.evidence
-                            ),
-                        )
-                    )
-        infos.append(
-            ModuleInfo(
-                name=module.name,
-                terms=terms[module.name],
-                facet=module.facet or "physical",
-                module=module,
-            )
-        )
+    lowering = _Lowering(by_name.values(), diagnostics)
+    infos = tuple(lowering.lower(module) for module in by_name.values())
 
     # Resolution runs even after lowering errors, so every error of a compile
     # shows at once; a reference to a name lowering or the parser already
     # reported is not repeated.
-    registry, findings = builder.resolve_with_findings()
+    registry, findings = lowering.builder.resolve_with_findings()
     if registry is not None:
         findings = validation_findings(registry)
     for finding in findings:
-        if finding.name not in unresolved:  # a name of None is never there
+        if finding.name not in lowering.unresolved:  # a name of None is never there
             diagnostics.append(
-                Diagnostic(ERROR, finding.code, finding.message, *spans[finding.owner])
+                Diagnostic(ERROR, finding.code, finding.message, *lowering.spans[finding.owner])
             )
     if has_errors(diagnostics):
         registry = None
     # One report per distinct diagnostic: ``relation r(b, b)`` resolves ``b`` twice at one span.
     diagnostics = list(dict.fromkeys(diagnostics))
-    return CompileResult(registry, worlds, tuple(claims), tuple(infos), diagnostics)
-
-
-def _lower_object(decl: ast.ObjectNode, lowering: _Lowering) -> None:
-    qualities = []
-    parts = []
-    realizables = []
-    slots: set[tuple[str, str]] = set()
-    for item in decl.items:
-        slot = (
-            ("quality", item.determinable) if isinstance(item, ast.QualitySlotNode)
-            else ("part", item.slot) if isinstance(item, ast.PartNode) else None
-        )
-        if slot is not None:
-            if slot in slots:
-                message = f"object {decl.name!r} repeats {slot[0]} slot {slot[1]!r}"
-                lowering.error(DUPLICATE_NAME, message, item.span)
-                continue
-            slots.add(slot)
-        if isinstance(item, ast.QualitySlotNode):
-            ontology = lowering.resolve_ref(item.ontology, item.span)
-            qualities.append(schemas.QualitySlot(item.determinable, ontology, item.required))
-        elif isinstance(item, ast.PartNode):
-            schema = lowering.resolve_ref(item.schema, item.span)
-            linkage = (
-                schemas.CONTAINMENT if item.linkage == "contained" else schemas.COMPOSITION
-            )
-            parts.append(schemas.PartSlot(item.slot, schema, item.function, linkage))
-        elif isinstance(item, ast.FunctionNode):
-            lowering.register(
-                schemas.RealizableSchema(
-                    item.name,
-                    schemas.FUNCTION,
-                    bearer_kind=decl.name,
-                    serves=item.serves,
-                ),
-                item.span,
-            )
-            realizables.append(item.name)
-        elif isinstance(item, ast.RoleNode):
-            lowering.register(
-                schemas.RealizableSchema(item.name, schemas.ROLE, bearer_kind=decl.name),
-                item.span,
-            )
-            realizables.append(item.name)
-    parent = None
-    if decl.parent is not None:
-        parent = lowering.resolve_ref(decl.parent, decl.span)
-    lowering.register(
-        schemas.ThickObjectSchema(
-            decl.name,
-            parent=parent,
-            qualities=tuple(qualities),
-            parts=tuple(parts),
-            realizables=tuple(realizables),
-        ),
-        decl.span,
+    return CompileResult(
+        registry, lowering.worlds, tuple(lowering.claims.values()), infos, diagnostics
     )
-
-
-def _lower_world(decl: ast.WorldNode, lowering: _Lowering) -> schemas.WorldDef:
-    spawns = []
-    for node in decl.spawns:
-        schema = lowering.resolve_ref(node.schema, node.span)
-        assignments = tuple(
-            (assign.determinable, assign.value.value) for assign in node.assignments
-        )
-        spawns.append(schemas.SpawnDef(node.instance, schema, assignments))
-    asserts = []
-    for node in decl.asserts:
-        pattern = lowering.pattern(node, ground=True)
-        if pattern is not None:
-            asserts.append(pattern)
-    return schemas.WorldDef(decl.name, tuple(spawns), tuple(asserts))
