@@ -92,7 +92,8 @@ class SchemaIndex:
         self.transitionals = by_type[schemas.TransitionalSchema]
         self.chains = by_type[schemas.ChainSchema]
         self.processes = by_type[schemas.ProcessSchema]
-        # Needs are leaf records; a Function's `serves` reference creates one.
+        # Needs are leaf records; a Function's `serves` reference to an unused
+        # name creates one (resolution reports one to any other schema).
         for schema in self.realizables.values():
             if schema.serves and schema.serves not in table:
                 table[schema.serves] = self.needs[schema.serves] = schemas.Need(schema.serves)
@@ -298,7 +299,7 @@ class RegistryBuilder:
         self._check_chain_bodies(index, findings)
         self._check_aggregate_recursion(index, findings)
         self._check_part_recursion(index, findings)
-        self._check_predicate_names(index, findings)
+        self._check_name_clashes(index, findings)
         if findings:
             return None, findings
         return Registry(index, self._build_kind_table(index)), []
@@ -464,8 +465,9 @@ class RegistryBuilder:
         edges = {name: [p.schema for p in schema.parts] for name, schema in index.objects.items()}
         self._reject_cycles(edges, diag.RECURSIVE_COMPOSITION, "part", findings)
 
-    def _check_predicate_names(self, index: SchemaIndex, findings: list[Finding]) -> None:
-        # A predicate names one thing: a relation, a quality slot or a built-in.
+    def _check_name_clashes(self, index: SchemaIndex, findings: list[Finding]) -> None:
+        # A name names one thing. A predicate is a relation, a quality slot or
+        # a built-in; the name a Function serves is a Need.
         for name in index.relations:
             if name in BUILTIN_PREDICATES or name in index.declarers:
                 what = "a built-in predicate" if name in BUILTIN_PREDICATES else "a quality slot"
@@ -477,6 +479,10 @@ class RegistryBuilder:
                     diag.DUPLICATE_NAME, owner,
                     f"quality slot {determinable!r} of {owner!r} is a built-in predicate",
                 ) for owner in owners)
+        for schema in index.realizables.values():
+            if schema.serves and schema.serves not in index.needs:
+                message = f"function {schema.name!r} serves {schema.serves!r}, which is not a need"
+                findings.append(Finding(diag.DUPLICATE_NAME, schema.name, message))
 
     @staticmethod
     def _reject_cycles(edges: dict, code: str, label: str, findings: list[Finding]) -> None:

@@ -126,37 +126,19 @@ class ThickObjectSchema:
 def flatten_object(child: ThickObjectSchema, parent: ThickObjectSchema) -> ThickObjectSchema:
     """Merge a parent's slots into a child, child redeclarations winning.
 
-    Parent order is preserved; new child slots append after. Idempotent when
-    the child already carries the parent's slots.
+    Parent order is preserved: a child slot that redeclares a parent's (by
+    determinable, or by part slot name) takes that slot's place, and new child
+    slots and realizables append after. Each name keeps one slot, the last one
+    given, at the place of its first. Idempotent when the child already
+    carries the parent's slots.
     """
-    qualities = list(parent.qualities)
-    by_det = {slot.determinable: i for i, slot in enumerate(qualities)}
-    for slot in child.qualities:
-        if slot.determinable in by_det:
-            qualities[by_det[slot.determinable]] = slot
-        else:
-            by_det[slot.determinable] = len(qualities)
-            qualities.append(slot)
-
-    parts = list(parent.parts)
-    by_slot = {slot.slot: i for i, slot in enumerate(parts)}
-    for slot in child.parts:
-        if slot.slot in by_slot:
-            parts[by_slot[slot.slot]] = slot
-        else:
-            by_slot[slot.slot] = len(parts)
-            parts.append(slot)
-
-    realizables = list(parent.realizables)
-    for name in child.realizables:
-        if name not in realizables:
-            realizables.append(name)
-
+    qualities = {slot.determinable: slot for slot in parent.qualities + child.qualities}
+    parts = {slot.slot: slot for slot in parent.parts + child.parts}
     return replace(
         child,
-        qualities=tuple(qualities),
-        parts=tuple(parts),
-        realizables=tuple(realizables),
+        qualities=tuple(qualities.values()),
+        parts=tuple(parts.values()),
+        realizables=tuple(dict.fromkeys(parent.realizables + child.realizables)),
         location_slot=child.location_slot or parent.location_slot,
     )
 

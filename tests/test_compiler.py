@@ -477,9 +477,17 @@ def test_a_string_term_in_a_guard_lowers_to_a_text_term():
         "}\n"
     )})
     text = schemas.Pattern("label", schemas.BEARER, schemas.text("x"))
+    const = schemas.Pattern("label", schemas.BEARER, schemas.const("x"))
     assert result.registry.transitional("t") == schemas.TransitionalSchema(
-        "t", "Pot",
-        (text,),
-        (schemas.Edit(schemas.DELETE, text),
-         schemas.Edit(schemas.CREATE, schemas.Pattern("label", schemas.BEARER, schemas.const("x")))),
+        "t", "Pot", (text,),
+        (schemas.Edit(schemas.DELETE, text), schemas.Edit(schemas.CREATE, const)),
     )
+
+
+def test_a_function_that_serves_a_declared_schema_is_reported_at_the_function():
+    source = COMMON + "object Oven {\n  function bakes serves Kiln\n}\n"
+    result = compile_sources({"m": source})
+    assert [(d.code, d.span.line, d.span.column, d.message) for d in result.diagnostics] == [
+        ("DuplicateName", 4, 3, "function 'bakes' serves 'Kiln', which is not a need"),
+    ]
+    assert not result.ok

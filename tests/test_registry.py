@@ -125,6 +125,35 @@ def test_child_override_appears_exactly_once():
     assert slots == [QualitySlot("moisture", "moisture", required=False)]
 
 
+def test_a_child_part_slot_overrides_its_parents_in_place():
+    builder = RegistryBuilder().register_all([
+        ThickObjectSchema("Gear"),
+        ThickObjectSchema("Spring"),
+        ThickObjectSchema("Clock", parts=(
+            PartSlot("drive", "Gear", "turns"), PartSlot("mainspring", "Spring", "stores"),
+        )),
+        ThickObjectSchema("Watch", parent="Clock", parts=(
+            PartSlot("crown", "Gear", "winds"), PartSlot("drive", "Spring", "unwinds"),
+        )),
+    ])
+    assert builder.resolve().object_schema("Watch").parts == (
+        PartSlot("drive", "Spring", "unwinds"),
+        PartSlot("mainspring", "Spring", "stores"),
+        PartSlot("crown", "Gear", "winds"),
+    )
+
+
+def test_a_child_appends_its_own_realizables_after_its_parents():
+    builder = RegistryBuilder().register_all([
+        ThickObjectSchema("Vessel", realizables=("holds", "pours")),
+        RealizableSchema("holds", "Function", bearer_kind="Vessel"),
+        RealizableSchema("pours", "Function", bearer_kind="Vessel"),
+        RealizableSchema("heats", "Function", bearer_kind="Kettle"),
+        ThickObjectSchema("Kettle", parent="Vessel", realizables=("heats", "pours")),
+    ])
+    assert builder.resolve().object_schema("Kettle").realizables == ("holds", "pours", "heats")
+
+
 def test_dangling_reference_reported():
     builder = RegistryBuilder()
     builder.register(
@@ -301,6 +330,24 @@ def test_needs_autoregistered_from_serves():
     )
     registry = builder.resolve()
     assert registry.need("communication") is not None
+
+
+def test_a_function_may_serve_only_a_need():
+    # A name names one thing: what a Function serves is a Need, so serving a
+    # declared object is a clash. Two Functions may serve one Need.
+    builder = RegistryBuilder().register_all([
+        ThickObjectSchema("Kiln"),
+        RealizableSchema("bakes", "Function", bearer_kind="Kiln", serves="Kiln"),
+    ])
+    with pytest.raises(DuplicateNameError, match="'bakes' serves 'Kiln', which is not a need"):
+        builder.resolve()
+    registry = RegistryBuilder().register_all([
+        ThickObjectSchema("Kiln"),
+        Need("firing", "declared by hand"),
+        RealizableSchema("bakes", "Function", bearer_kind="Kiln", serves="firing"),
+        RealizableSchema("warms", "Function", bearer_kind="Kiln", serves="firing"),
+    ]).resolve()
+    assert registry.need("firing") == Need("firing", "declared by hand")
 
 
 # --- validate_registry -------------------------------------------------------
