@@ -12,6 +12,7 @@ as positioned diagnostics anchored at the offending declaration.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -77,7 +78,7 @@ class _Lowering:
     registered schema, the names already reported, the worlds and the claims.
     """
 
-    def __init__(self, modules, diagnostics: list[Diagnostic]):
+    def __init__(self, modules: Collection[ast.SourceModule], diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics
         self.builder = RegistryBuilder()
         self.spans: dict[str, tuple[str, Span]] = {}  # schema name -> (file, span)
