@@ -93,7 +93,7 @@ class SchemaIndex:
         self.chains = by_type[schemas.ChainSchema]
         self.processes = by_type[schemas.ProcessSchema]
         # Needs are leaf records; a Function's `serves` reference to an unused
-        # name creates one (resolution reports one to any other schema).
+        # name creates one. `_check_name_clashes` reports one that names a schema.
         for schema in self.realizables.values():
             if schema.serves and schema.serves not in table:
                 table[schema.serves] = self.needs[schema.serves] = schemas.Need(schema.serves)
