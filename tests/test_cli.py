@@ -1,6 +1,7 @@
 import io
 import json
 
+import pytest
 from conftest import CORPUS_FILES, MODELS_DIR
 from helpers import count_calls
 
@@ -154,6 +155,18 @@ def test_equiv_bad_space_spec():
     )
     assert code == 1
     assert "bad space entry" in err
+
+
+@pytest.mark.parametrize("chain_a, space, message", [
+    ("nope", "l:TrafficLight", "error: unknown chain: nope"),
+    ("cycle", "o:Orchestra", "error: 'Orchestra' is not an object schema"),
+    ("cycle", ",", "error: state space is empty"),
+])
+def test_equiv_error_is_one_line_and_exit_one(chain_a, space, message):
+    code, out, err = invoke(
+        ["equiv", *CORPUS_PATHS, "--a", chain_a, "--b", "go_yellow", "--space", space]
+    )
+    assert (code, out, err) == (1, "", message + "\n")
 
 
 def test_metrics_lines_are_tab_separated():

@@ -68,6 +68,10 @@ def test_membership_decidable_over_corpus(registry):
         path = table.path_to_entity(name)
         assert path[0] == name and path[-1] == ENTITY
         assert len(set(path)) == len(path)
+        # The attachment is the first upper node on the path, as many edges up.
+        depth = table.depth_below_attachment(name)
+        assert depth == path.index(table.attachment(name))
+        assert is_upper(path[depth]) and not any(map(is_upper, path[:depth]))
 
 
 def test_is_upper():

@@ -4,7 +4,7 @@ import time
 import pytest
 from helpers import compile_ok, world_from
 
-from xfo import AppliedTransition, instantiate_chain
+from xfo import AppliedTransition, RegistryBuilder, instantiate_chain
 from xfo.errors import (
     DispositionCascadeOverflowError,
     DuplicateNameError,
@@ -16,7 +16,17 @@ from xfo.errors import (
     UnknownDeterminantError,
 )
 from xfo.microworld import Microworld, WorldSnapshot, run
-from xfo.schemas import Pattern, const, var
+from xfo.schemas import (
+    BEARER,
+    DISPOSITION,
+    Pattern,
+    QualityOntology,
+    QualitySlot,
+    RealizableSchema,
+    ThickObjectSchema,
+    const,
+    var,
+)
 
 
 # --- spawning -------------------------------------------------------------------
@@ -299,6 +309,22 @@ def test_windshield_shatters_once(corpus):
     trigger = corpus.registry.realizable("sure_fire_breakage").trigger
     assert not world.store.matches(trigger, bindings={"bearer": "shield"})
     assert world.fire_dispositions() == []
+
+
+def test_a_disposition_without_a_realization_never_fires():
+    # The language requires `realize`; a RegistryBuilder disposition may omit it.
+    registry = RegistryBuilder().register_all([
+        QualityOntology("level", ("low", "high")),
+        ThickObjectSchema("Pane", qualities=(QualitySlot("crack", "level"),)),
+        RealizableSchema("fragility", DISPOSITION, bearer_kind="Pane",
+                         trigger=Pattern("crack", BEARER, const("low"))),
+    ]).resolve()
+    world = Microworld(registry)
+    world.spawn("Pane", {"crack": "low"}, instance_id="p")
+    assert world.store.matches(registry.realizable("fragility").trigger, bindings={"bearer": "p"})
+    before = world.fingerprint()
+    assert world.fire_dispositions() == []
+    assert world.fingerprint() == before
 
 
 def test_no_live_triggers_fire_nothing(corpus):

@@ -179,6 +179,62 @@ def test_all_dangling_references_collected():
     assert len(excinfo.value.references) == 3
 
 
+# One undeclared reference of each kind that the front end reports as an
+# undeclared name first, so only a RegistryBuilder reaches it.
+DANGLING_CASES = {
+    "realizable": (
+        [ThickObjectSchema("Pot", realizables=("glaze",))],
+        ("Pot", "Pot: realizable 'glaze' not found", "glaze"),
+    ),
+    "realizable bearer kind": (
+        [RealizableSchema("pour", "Function", bearer_kind="Jug")],
+        ("pour", "pour: bearer kind 'Jug' not found", "Jug"),
+    ),
+    "transitional bearer kind": (
+        [TransitionalSchema("tip", "Jug")],
+        ("tip", "tip: bearer kind 'Jug' not found", "Jug"),
+    ),
+    "member schema": (
+        [AggregateSchema("Band", members=(AggregateMember("lead", "Singer"),))],
+        ("Band", "Band: member schema 'Singer' not found", "Singer"),
+    ),
+    "link slot": (
+        [
+            ThickObjectSchema("Pane"),
+            RelationSchema("leans_on", "Pane", "Pane"),
+            AggregateSchema(
+                "Frame",
+                members=(AggregateMember("a", "Pane"),),
+                links=(AggregateLink("leans_on", "a", "b"),),
+            ),
+        ],
+        ("Frame", "Frame: link slot 'b' not found", None),
+    ),
+    "chain transitional": (
+        [ChainSchema("ritual", "mechanism", steps=(DoStep("bow"),))],
+        ("ritual", "ritual: transitional 'bow' not found", "bow"),
+    ),
+    "participant kind": (
+        [ProcessSchema("brewing", participants=("Jug",))],
+        ("brewing", "brewing: participant kind 'Jug' not found", "Jug"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DANGLING_CASES)
+def test_each_undeclared_reference_is_one_dangling_finding(case):
+    declared, (owner, message, name) = DANGLING_CASES[case]
+    registry, findings = RegistryBuilder().register_all(declared).resolve_with_findings()
+    assert registry is None
+    assert findings == [(DANGLING_REFERENCE, owner, message, name)]
+
+
+def test_unknown_chain_kind_rejected():
+    builder = RegistryBuilder().register(ChainSchema("ritual", "dance"))
+    with pytest.raises(InvalidChainError, match="chain 'ritual' has unknown kind 'dance'"):
+        builder.resolve()
+
+
 def test_inheritance_cycle_detected():
     builder = RegistryBuilder()
     builder.register(ThickObjectSchema("A", parent="B"))

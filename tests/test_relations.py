@@ -204,6 +204,14 @@ def clock_store():
     return store
 
 
+def test_link_part_rejects_an_unknown_linkage(clock_store):
+    clock_store.register_instance("cog", "Gear", 2)
+    before = clock_store.fingerprint()
+    with pytest.raises(KindMismatchError, match="unknown linkage: glued"):
+        clock_store.link_part("cog", "clock1", "glued", 2)
+    assert clock_store.fingerprint() == before
+
+
 def test_part_query_in_id_order(clock_store):
     rows = clock_store.query(Pattern("part_of", var("p"), const("clock1")))
     composed = [r["p"] for r in rows]

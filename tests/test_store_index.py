@@ -2,7 +2,9 @@
 
 Random spawn / assert / retract / apply / destroy sequences run on corpus
 kinds. After every step, the indexed answers must equal a brute-force oracle
-that reads nothing but ``store.records`` and the instance table.
+that reads nothing but ``store.records`` and the instance table. At the end,
+with and without a mark open, the store's clone must equal it and be
+independent of it.
 """
 
 import pytest
@@ -60,6 +62,10 @@ def oracle_query(store, pattern, at=None, bindings=None):
 
 def oracle_live(store):
     return {(t.subject, t.predicate, t.object) for t in store.records if t.retracted_at is None}
+
+
+def oracle_live_triples(store):
+    return tuple(t for t in store.records if t.live_at(None))
 
 
 def oracle_alive_of_kind(store, kind):
@@ -205,6 +211,40 @@ def _check(world, data):
         assert verdict == conflict
 
 
+def _nonempty(index):
+    """``index`` without the emptied predicate maps that its writers leave."""
+    return {predicate: inner for predicate, inner in index.items() if inner}
+
+
+def _check_clone(store, tick):
+    """The clone equals the store, shares no mutable part with it, and a
+    write to it leaves the store as it was."""
+    clone = store.clone()
+    assert clone._records == store._records
+    assert _nonempty(clone._by_subject) == _nonempty(store._by_subject)
+    assert _nonempty(clone._by_object) == _nonempty(store._by_object)
+    assert clone._alive == store._alive
+    assert clone._instances == store._instances
+    assert clone._link_meta == store._link_meta
+    assert clone.trail is None
+    for instance_id, record in clone._instances.items():
+        original = store._instances[instance_id]
+        assert record is not original
+        assert record.slots is None or record.slots is not original.slots
+    for side in (store, clone):
+        live = side.live_triples()
+        assert live == oracle_live_triples(side)
+        assert {(t.subject, t.predicate, t.object) for t in live} == oracle_live(side)
+
+    before = store.fingerprint(), len(store.trail or ())
+    for record in clone.instances():
+        if record.alive:
+            clone.destroy_instance(record.id, tick)
+    clone.register_instance("clone-probe", "Musician", tick)
+    assert (store.fingerprint(), len(store.trail or ())) == before
+    assert clone.live_set() == oracle_live(clone)
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_indexed_store_agrees_with_brute_force(corpus, data):
@@ -219,3 +259,10 @@ def test_indexed_store_agrees_with_brute_force(corpus, data):
         assert clone.query(pattern) == oracle_query(world.store, pattern)
     for kind in KINDS:
         assert clone.alive_of_kind(kind) == oracle_alive_of_kind(world.store, kind)
+    _check_clone(world.store, world.clock + 1)
+    # The same with a mark open: the trail the writes push onto is not copied.
+    token = world.mark()
+    for _ in range(data.draw(st.integers(0, 5))):
+        _step(world, data)
+    _check_clone(world.store, world.clock + 1)
+    world.rewind(token)

@@ -389,6 +389,30 @@ def test_workflow_intervention_from_source():
     assert summary.depth == 1
 
 
+def test_conditional_summary_from_source():
+    source = (
+        "quality state { raw, done }\n"
+        "object Piece { quality state: state required }\n"
+        "transitional finish on Piece {\n"
+        "  require state(bearer, raw)\n"
+        "  delete state(bearer, raw)\n"
+        "  create state(bearer, done)\n"
+        "}\n"
+        "chain mechanism inspect {\n"
+        "  if state(?p, raw) {\n"
+        "    do finish\n"
+        "  } else {\n"
+        "    while state(?p, raw) { do finish }\n"
+        "  }\n"
+        "}\n"
+    )
+    summary = thick_chain_summary(compile_ok({"m": source}).registry, "inspect")
+    assert (summary.conditional_count, summary.loop_count, summary.depth) == (1, 1, 3)
+    assert (summary.loop_count, summary.depth) == _summary_oracle(source, "inspect")
+    assert summary.predicates == ("state",)
+    assert summary.participants == ("Piece",)
+
+
 def test_unknown_chain_summary(corpus):
     with pytest.raises(UnknownChainError):
         thick_chain_summary(corpus.registry, "nonesuch")
