@@ -148,12 +148,6 @@ def _cmd_equiv(args, result, out, err) -> int:
     return 0
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _cmd_metrics(args, result, out, err) -> int:
     foundry = Foundry(result.registry)
     for info in result.modules:
@@ -163,16 +157,16 @@ def _cmd_metrics(args, result, out, err) -> int:
     if args.orthogonality:
         module_a, module_b = args.orthogonality
         value = foundry.orthogonality(module_a, module_b)
-        print(f"orthogonality\t{module_a} {module_b}\t{_format_value(value)}", file=out)
+        print(f"orthogonality\t{module_a} {module_b}\t{value}", file=out)
         emitted = True
     if args.specificity:
         value = foundry.specificity(args.specificity)
-        print(f"specificity\t{args.specificity}\t{_format_value(value)}", file=out)
+        print(f"specificity\t{args.specificity}\t{value}", file=out)
         emitted = True
     if args.exhaustivity:
         terms = tuple(t.strip() for t in args.exhaustivity.split(",") if t.strip())
         value = foundry.exhaustivity(terms)
-        print(f"exhaustivity\t{','.join(terms)}\t{_format_value(value)}", file=out)
+        print(f"exhaustivity\t{','.join(terms)}\t{value}", file=out)
         emitted = True
     if not emitted:
         print("metrics: nothing requested", file=err)

@@ -109,23 +109,13 @@ class KindTable:
         return ancestor in self.path_to_entity(name)
 
     def attachment(self, name: str) -> str:
-        """The first upper-taxonomy node on the path from ``name`` upward."""
-        for node in self.path_to_entity(name):
-            if node in UPPER_TAXONOMY:
-                return node
-        raise XfoError(f"kind {name!r} does not attach to the upper taxonomy")
+        """The first upper-taxonomy node on the path from ``name`` upward.
+        Every path ends at Entity, an upper node, so there always is one."""
+        return next(node for node in self.path_to_entity(name) if node in UPPER_TAXONOMY)
 
     def depth_below_attachment(self, name: str) -> int:
         """Edges from ``name`` down from its upper attachment point (0 for upper nodes)."""
-        depth = 0
-        for node in self.path_to_entity(name):
-            if node in UPPER_TAXONOMY:
-                return depth
-            depth += 1
-        raise XfoError(f"kind {name!r} does not attach to the upper taxonomy")
-
-    def is_independent_continuant(self, name: str) -> bool:
-        return self.is_subkind(name, INDEPENDENT_CONTINUANT)
+        return self.path_to_entity(name).index(self.attachment(name))
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._table)

@@ -36,7 +36,6 @@ from .errors import (
     XfoError,
 )
 from .fingerprint import streamed_fingerprint
-from .kinds import INDEPENDENT_CONTINUANT
 from .registry import Registry
 from .relations import RelationStore
 
@@ -196,8 +195,6 @@ class Microworld:
         schema = self.registry.object_schema(schema_name)
         if schema is None:
             raise KindMismatchError(f"{schema_name!r} is not a spawnable object schema")
-        if not self.registry.is_independent_continuant_kind(schema_name):
-            raise KindMismatchError(f"{schema_name!r} is not an Independent Continuant")
         given = determinants or {}
         tick = self.clock + 1
         records = self.store.spawn(schema, given, location, instance_id, tick, self.new_id)
@@ -445,9 +442,7 @@ class Microworld:
         other.events = list(self.events)
         other.rules = list(self.rules)
         other._id_counters = dict(self._id_counters)
-        if self._rng is not None:
-            other._rng = random.Random()
-            other._rng.setstate(self._rng.getstate())
+        other._rng = copy.deepcopy(self._rng)
         return other
 
     def snapshot(self) -> WorldSnapshot:

@@ -22,12 +22,17 @@ Live triples are indexed in two orders, predicate -> subject -> objects and
 predicate -> object -> subjects (the hexastore idea, cut down to the orders
 the engine asks for), so a lookup with a bound subject or object reads only
 its matching slice. The first order also maps each live triple to its record.
+
+The primary state is the triple records, the instance records and the part
+links. The indexes (both triple orders, schema -> alive ids) derive from it:
+``_index``/``_unindex`` and ``_join``/``_discard`` write them, and ``clone``
+copies the primary state and rebuilds them through ``_index`` and ``_join``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -81,15 +86,6 @@ class InstanceRecord:
     @property
     def alive(self) -> bool:
         return self.destroyed_at is None
-
-    def copy(self) -> "InstanceRecord":
-        return InstanceRecord(
-            self.id,
-            self.schema,
-            self.created_at,
-            self.destroyed_at,
-            dict(self.slots) if self.slots is not None else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -174,13 +170,7 @@ class RelationStore:
         return tuple(self._records)
 
     def live_triples(self) -> tuple[Triple, ...]:
-        indexes = sorted(
-            index
-            for subjects in self._by_subject.values()
-            for objects in subjects.values()
-            for index in objects.values()
-        )
-        return tuple(self._records[i] for i in indexes)
+        return tuple(t for t in self._records if t.retracted_at is None)
 
     def live_set(self) -> frozenset[tuple[str, str, str]]:
         return frozenset(
@@ -657,19 +647,19 @@ class RelationStore:
     # -- snapshots -------------------------------------------------------------------------
 
     def clone(self) -> "RelationStore":
+        """An independent copy of the primary state, its indexes rebuilt by
+        their writers. It records nothing until a trail is opened on it."""
         other = RelationStore(self.registry)
         other._records = list(self._records)
-        other._by_subject = {
-            predicate: {subject: dict(objects) for subject, objects in subjects.items()}
-            for predicate, subjects in self._by_subject.items()
-        }
-        other._by_object = {
-            predicate: {obj: set(subjects) for obj, subjects in objects.items()}
-            for predicate, objects in self._by_object.items()
-        }
-        other._instances = {i: rec.copy() for i, rec in self._instances.items()}
-        other._alive = {schema: set(ids) for schema, ids in self._alive.items()}
         other._link_meta = dict(self._link_meta)
+        for index, triple in enumerate(self._records):
+            if triple.retracted_at is None:
+                other._index(triple, index)
+        for record in self._instances.values():
+            slots = dict(record.slots) if record.slots is not None else None
+            other._instances[record.id] = replace(record, slots=slots)
+            if record.alive:
+                _join(other._alive, record.schema, record.id)
         return other
 
     def fingerprint(self) -> str:

@@ -211,8 +211,6 @@ def instantiate_chain(
     bearer_map: dict[str, str] = {}
     for name in dict.fromkeys(step.transitional for step in reachable_do_steps(chain)):
         transitional = registry.transitional(name)
-        if transitional is None:
-            continue
         bearer = first_bearer(registry, transitional.bearer_kind, bound)
         if bearer is None:
             raise MissingBindingError(f"chain {chain_name!r} needs a "
@@ -333,13 +331,12 @@ def thick_chain_summary(registry, chain_name: str) -> ChainSummary:
             if step.intervention:
                 interventions.append(step.transitional)
             transitional = registry.transitional(step.transitional)
-            if transitional is not None:
-                if transitional.bearer_kind:
-                    participants.add(transitional.bearer_kind)
-                for pattern in transitional.guards:
-                    note_pattern(pattern)
-                for edit in transitional.edits:
-                    note_pattern(edit.pattern)
+            if transitional.bearer_kind:
+                participants.add(transitional.bearer_kind)
+            for pattern in transitional.guards:
+                note_pattern(pattern)
+            for edit in transitional.edits:
+                note_pattern(edit.pattern)
         elif isinstance(step, schemas.IfStep):
             conditionals += 1
             note_pattern(step.condition)
