@@ -92,10 +92,10 @@ class SchemaIndex:
         self.transitionals = by_type[schemas.TransitionalSchema]
         self.chains = by_type[schemas.ChainSchema]
         self.processes = by_type[schemas.ProcessSchema]
-        # Needs are leaf records; a Function's `serves` reference to an unused
-        # name creates one. `_check_name_clashes` reports one that names a schema.
+        # Needs are leaf records; a Function's `serves` reference to an unused,
+        # non-upper name creates one. `_check_name_clashes` reports the rest.
         for schema in self.realizables.values():
-            if schema.serves and schema.serves not in table:
+            if schema.serves and schema.serves not in table and not kinds.is_upper(schema.serves):
                 table[schema.serves] = self.needs[schema.serves] = schemas.Need(schema.serves)
         self.dispositions = tuple(
             s for s in self.realizables.values() if s.variant == schemas.DISPOSITION

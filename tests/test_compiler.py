@@ -1,3 +1,4 @@
+import pytest
 from conftest import CORPUS_FILES, MODELS_DIR, load_corpus_modules
 from helpers import compile_ok, compile_sources, count_calls
 
@@ -5,6 +6,7 @@ import xfo.lang.compiler
 import xfo.registry
 from xfo import compile_modules, parse_module, schemas
 from xfo.cli import main
+from xfo.errors import DuplicateNameError
 from xfo.lang import ast
 from xfo.lang.compiler import module_fingerprint
 
@@ -491,3 +493,16 @@ def test_a_function_that_serves_a_declared_schema_is_reported_at_the_function():
         ("DuplicateName", 4, 3, "function 'bakes' serves 'Kiln', which is not a need"),
     ]
     assert not result.ok
+
+
+def test_a_function_that_serves_an_upper_taxonomy_name_is_reported_and_registers_no_need():
+    result = compile_sources({"oven": "object Oven { function bakes serves Entity }\n"})
+    assert [(d.code, d.span.line, d.span.column, d.message) for d in result.diagnostics] == [
+        ("DuplicateName", 1, 15, "function 'bakes' serves 'Entity', which is not a need"),
+    ]
+    builder = xfo.registry.RegistryBuilder().register_all([
+        schemas.ThickObjectSchema("Oven", realizables=("bakes",)),
+        schemas.RealizableSchema("bakes", schemas.FUNCTION, bearer_kind="Oven", serves="Entity"),
+    ])
+    with pytest.raises(DuplicateNameError, match="serves 'Entity', which is not a need"):
+        builder.resolve()
