@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+from .records import record
 
 ERROR = "error"
 WARNING = "warning"
@@ -24,7 +25,7 @@ RECURSIVE_COMPOSITION = "RecursiveComposition"
 INVALID_CHAIN = "InvalidChain"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Span:
     """Position of a source region: 1-based line/column plus absolute offset."""
 
@@ -37,7 +38,7 @@ class Span:
 DUMMY_SPAN = Span(0, 0, 0, 0)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Diagnostic:
     severity: str
     code: str

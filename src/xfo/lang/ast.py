@@ -6,23 +6,24 @@ pretty-print round trip can compare structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from ..diagnostics import DUMMY_SPAN, Span
+from ..records import record
 
 
 def _span_field():
     return field(compare=False, kw_only=True, default=DUMMY_SPAN)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TermNode:
     kind: str  # var | ident | string
     value: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PatternNode:
     predicate: str
     subject: TermNode
@@ -30,20 +31,20 @@ class PatternNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ImportNode:
     module: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class QualityNode:
     name: str
     determinants: tuple[str, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class QualitySlotNode:
     determinable: str
     ontology: str
@@ -51,7 +52,7 @@ class QualitySlotNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PartNode:
     slot: str
     schema: str
@@ -60,20 +61,20 @@ class PartNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FunctionNode:
     name: str
     serves: str | None = None
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RoleNode:
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ObjectNode:
     name: str
     parent: str | None
@@ -81,14 +82,14 @@ class ObjectNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MemberNode:
     slot: str
     schema: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LinkNode:
     relation: str
     subject_slot: str
@@ -96,7 +97,7 @@ class LinkNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AggregateNode:
     name: str
     members: tuple[MemberNode, ...]
@@ -104,7 +105,7 @@ class AggregateNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RelationNode:
     name: str
     subject_kind: str
@@ -113,14 +114,14 @@ class RelationNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EditNode:
     op: str  # delete | create
     pattern: PatternNode
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TransitionalNode:
     name: str
     bearer: str
@@ -129,14 +130,14 @@ class TransitionalNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DoNode:
     transitional: str
     intervention: bool = False
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IfNode:
     condition: PatternNode
     then_steps: tuple
@@ -144,14 +145,14 @@ class IfNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WhileNode:
     condition: PatternNode
     body: tuple
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ChainNode:
     name: str
     kind: str  # sequence | mechanism | procedure | workflow
@@ -159,7 +160,7 @@ class ChainNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DispositionNode:
     name: str
     bearer: str
@@ -168,14 +169,14 @@ class DispositionNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AssignNode:
     determinable: str
     value: TermNode
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SpawnNode:
     instance: str
     schema: str
@@ -183,7 +184,7 @@ class SpawnNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WorldNode:
     name: str
     spawns: tuple[SpawnNode, ...]
@@ -191,14 +192,14 @@ class WorldNode:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EvidenceNode:
     ref: str
     note: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ClaimNode:
     name: str
     statement: str
@@ -219,7 +220,7 @@ Declaration = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SourceModule:
     """One parsed .xfo module: imports plus declarations, with a facet label
     and the file name its diagnostics carry. ``dropped`` names the schema

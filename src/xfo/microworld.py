@@ -36,6 +36,7 @@ from .errors import (
     XfoError,
 )
 from .fingerprint import streamed_fingerprint
+from .records import record, slot_writer
 from .registry import Registry
 from .relations import RelationStore
 
@@ -64,7 +65,7 @@ _EDIT_KEYS = MappingProxyType({
 })
 
 
-@dataclass(init=False, frozen=True, slots=True, repr=False)
+@record
 class TimelineEvent:
     """One unit of the temporal map.
 
@@ -82,13 +83,7 @@ class TimelineEvent:
     def __init__(self, tick: int, kind: str, name: str, participants: tuple[str, ...],
                  edits: tuple[tuple[str, object], ...] = ()):
         keys, values = tuple(zip(*edits)) or ((), ())
-        assign = object.__setattr__  # the dataclass is frozen
-        assign(self, "tick", tick)
-        assign(self, "kind", kind)
-        assign(self, "name", name)
-        assign(self, "participants", participants)
-        assign(self, "_keys", _EDIT_KEYS.get(keys, keys))
-        assign(self, "_values", values)
+        _write_event(self, tick, kind, name, participants, _EDIT_KEYS.get(keys, keys), values)
 
     @property
     def edits(self) -> tuple[tuple[str, object], ...]:
@@ -112,6 +107,9 @@ class TimelineEvent:
             "participants": list(self.participants),
             "edits": {k: _jsonable(v) for k, v in zip(self._keys, self._values)},
         }
+
+
+_write_event = slot_writer(TimelineEvent)
 
 
 def _jsonable(value):

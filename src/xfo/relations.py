@@ -52,6 +52,7 @@ from .errors import (
 )
 from .fingerprint import streamed_fingerprint
 from .kinds import INDEPENDENT_CONTINUANT
+from .records import record
 from .registry import BUILTIN_PREDICATES, Registry
 
 PART_OF = "part_of"
@@ -61,7 +62,7 @@ HAS_ROLE = "has_role"
 _EMPTY = MappingProxyType({})  # what an index lookup that finds nothing returns
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Triple:
     subject: str
     predicate: str
@@ -211,6 +212,8 @@ class RelationStore:
         if not objects:
             del subjects[subject]
         _discard(self._by_object[predicate], obj, subject)
+        if not subjects:  # the predicate's last live triple, in both orders
+            del self._by_subject[predicate], self._by_object[predicate]
         return index
 
     def _retract(self, subject: str, predicate: str, obj: str, tick: int) -> None:

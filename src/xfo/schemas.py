@@ -8,9 +8,10 @@ resolved registry can be shared freely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import kinds
+from .records import record
 
 # --- pattern terms ------------------------------------------------------------
 
@@ -19,7 +20,7 @@ CONST = "const"
 TEXT = "text"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Term:
     """One argument position of a pattern: a ?variable, identifier, or string."""
 
@@ -44,7 +45,7 @@ def text(value: str) -> Term:
 BEARER = var("bearer")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Pattern:
     predicate: str
     subject: Term
@@ -65,7 +66,7 @@ class Pattern:
 
 # --- quality ontologies ----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class QualityOntology:
     """A determinable with its closed, ordered set of determinant values."""
 
@@ -89,14 +90,14 @@ COMPOSITION = "composition"
 CONTAINMENT = "containment"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class QualitySlot:
     determinable: str
     ontology: str
     required: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PartSlot:
     slot: str
     schema: str
@@ -104,7 +105,7 @@ class PartSlot:
     linkage: str = COMPOSITION
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ThickObjectSchema:
     """A structured object definition: qualities, parts with functions,
     realizables, and an optional location slot."""
@@ -145,20 +146,20 @@ def flatten_object(child: ThickObjectSchema, parent: ThickObjectSchema) -> Thick
 
 # --- aggregates --------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class AggregateMember:
     slot: str
     schema: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AggregateLink:
     relation: str
     subject_slot: str
     object_slot: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AggregateSchema:
     """A collection of co-equal members defined by the network of their links."""
 
@@ -175,7 +176,7 @@ class AggregateSchema:
 
 # --- relations -----------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class RelationSchema:
     name: str
     subject_kind: str
@@ -190,7 +191,7 @@ DISPOSITION = kinds.DISPOSITION
 FUNCTION = kinds.FUNCTION
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RealizableSchema:
     """A Role, Disposition, or Function, with the variant-specific fields."""
 
@@ -204,7 +205,7 @@ class RealizableSchema:
     serves: str | None = None            # Functions: the Need served
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Need:
     name: str
     description: str = ""
@@ -216,13 +217,13 @@ DELETE = "delete"
 CREATE = "create"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Edit:
     op: str
     pattern: Pattern
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TransitionalSchema:
     """An atomic, guarded relationship edit bound to a bearer kind.
 
@@ -265,20 +266,20 @@ WORKFLOW = "workflow"
 CHAIN_KINDS = (SEQUENCE, MECHANISM, PROCEDURE, WORKFLOW)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DoStep:
     transitional: str
     intervention: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IfStep:
     condition: Pattern
     then_steps: tuple = ()
     else_steps: tuple = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WhileStep:
     condition: Pattern
     body: tuple = ()
@@ -287,7 +288,7 @@ class WhileStep:
 Step = DoStep | IfStep | WhileStep
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ChainSchema:
     name: str
     kind: str
@@ -321,7 +322,7 @@ def step_depth(steps: tuple[Step, ...]) -> int:
 
 # --- processes -----------------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class ProcessSchema:
     """A named continuous activity with its participant kinds."""
 
@@ -331,27 +332,27 @@ class ProcessSchema:
 
 # --- microworld and claim definitions (compile output, not registry content) ---------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class SpawnDef:
     instance: str
     schema: str
     assignments: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WorldDef:
     name: str
     spawns: tuple[SpawnDef, ...] = ()
     asserts: tuple[Pattern, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EvidenceDef:
     ref: str
     note: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ClaimDef:
     name: str
     statement: str

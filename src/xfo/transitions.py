@@ -20,6 +20,7 @@ from .errors import (
     UnknownInstanceError,
     XfoError,
 )
+from .records import record
 from .relations import RelationStore
 
 DEFAULT_LOOP_CAP = 10_000
@@ -32,7 +33,7 @@ ABORTED = "aborted"
 LOOP_CAP_REASON = "NonterminatingChain"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AppliedTransition:
     transitional: str
     bearer: str
@@ -42,7 +43,7 @@ class AppliedTransition:
     creates: tuple[tuple[str, str, str], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BlockedTransition:
     transitional: str
     bearer: str

@@ -77,6 +77,24 @@ def test_run_trace_ends_with_green(tmp_path):
     assert ["light", "color", "green"] in last["edits"]["creates"]
 
 
+@pytest.mark.parametrize("model, args, line", [
+    ("trafficlight.xfo", ["--world", "demo", "--chain", "cycle"],
+     "status=completed ticks=1 fingerprint=625c1cefbdda0167"),
+    ("trafficlight.xfo", ["--world", "demo", "--chain", "cycle", "--ticks", "1"],
+     "status=completed ticks=1 fingerprint=625c1cefbdda0167"),
+    ("waterdropper-goryeo.xfo", ["--world", "studio", "--chain", "pottery"],
+     "status=completed ticks=3 fingerprint=2b2a797fd54a8de3"),
+    ("clock-orchestra.xfo", ["--world", "workshop", "--chain", "unwind"],
+     "status=completed ticks=1 fingerprint=55ace35b0f3ed3d9"),
+    ("windshield.xfo", ["--world", "crash_test"],
+     "status=quiescent ticks=0 fingerprint=08061ec0db0c28be"),
+    ("village-gangjin.xfo", ["--world", "gangjin"],
+     "status=quiescent ticks=0 fingerprint=e1dd00ab8daaae57"),
+])
+def test_run_status_line_of_each_corpus_world(model, args, line):
+    assert invoke(["run", str(MODELS_DIR / model), *args]) == (0, line + "\n", "")
+
+
 def test_run_trace_to_an_unwritable_path_is_one_error_line(tmp_path):
     trace = tmp_path / "missing-dir" / "t.ndjson"
     code, out, err = invoke(

@@ -1,17 +1,24 @@
 import copy
 import dataclasses
 import gc
+import importlib
+import inspect
+import pickle
+import pkgutil
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xfo import module_to_source, parse_module
+import xfo
+from xfo import microworld, module_to_source, parse_module
 from xfo.diagnostics import Span
 from xfo.lang import ast
 from xfo.lang.lexer import EOF, KIND, TEXT, span, tokenize
-from xfo.schemas import CREATE, Edit, Pattern, TransitionalSchema, const, var
+from xfo.microworld import TimelineEvent
+from xfo.records import record
+from xfo.schemas import CREATE, Edit, Pattern, QualityOntology, TransitionalSchema, const, var
 from xfo.transitions import AppliedTransition
 
 from conftest import CORPUS_FILES, MODELS_DIR
@@ -390,6 +397,72 @@ def test_tokens_are_untracked_and_bulk_records_are_slotted():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, first, 0)
         assert not hasattr(record, "__dict__")
+
+
+def _frozen_slotted_records():
+    """Every frozen, slotted dataclass that a module of the xfo package defines."""
+    found = []
+    for info in pkgutil.walk_packages(xfo.__path__, "xfo."):
+        module = importlib.import_module(info.name)
+        found += [
+            value for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__
+            and dataclasses.is_dataclass(value) and value.__dataclass_params__.frozen
+            and "__slots__" in vars(value)
+        ]
+    return found
+
+
+RECORDS = _frozen_slotted_records()
+
+
+def test_records_are_found_in_every_module_and_post_init_still_runs():
+    assert {cls.__module__ for cls in RECORDS} == {
+        "xfo.diagnostics", "xfo.lang.ast", "xfo.microworld", "xfo.relations",
+        "xfo.schemas", "xfo.transitions",
+    }
+    with pytest.raises(ValueError):
+        QualityOntology("q", ())  # __post_init__ still runs
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+def test_every_frozen_slotted_record_is_built_by_record(cls):
+    fields = dataclasses.fields(cls)
+    values = {f.name: (f.name,) for f in fields}
+    if cls is TimelineEvent:  # its own __init__ takes edits and calls the record's slot writer
+        writer = microworld._write_event
+        assert writer.__code__.co_filename == "<record xfo.microworld.TimelineEvent>"
+        assert list(inspect.signature(writer).parameters) == ["self", *values]
+        instance = TimelineEvent(0, "spawn", "l1", ("l1",), (("member", "a1"),))
+        assert instance.edits == (("member", "a1"),)
+        writer(instance, *values.values())
+    else:
+        assert cls.__init__.__code__.co_filename == f"<record {cls.__module__}.{cls.__qualname__}>"
+        plain = dataclasses.make_dataclass(cls.__name__, [
+            (f.name, f.type, dataclasses.field(default=f.default, kw_only=f.kw_only))
+            for f in fields
+        ], frozen=True, slots=True)
+        assert inspect.signature(cls.__init__) == inspect.signature(plain.__init__)
+        instance = cls(**values)
+        assert dataclasses.replace(instance) == instance
+    assert {f.name: getattr(instance, f.name) for f in fields} == values
+    assert not hasattr(instance, "__dict__")
+    for twin in (copy.deepcopy(instance), pickle.loads(pickle.dumps(instance))):
+        assert twin is not instance and twin == instance and hash(twin) == hash(instance)
+    for name in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(instance, name)
+
+
+@pytest.mark.parametrize("shape", [
+    dataclasses.field(init=False, default=0),
+    dataclasses.field(default_factory=tuple),
+])
+def test_record_rejects_a_field_its_init_does_not_take_as_given(shape):
+    with pytest.raises(TypeError):
+        record(type("Shaped", (), {"__annotations__": {"value": "int"}, "value": shape}))
 
 
 # --- generated round-trip property ------------------------------------------------
