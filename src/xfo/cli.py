@@ -98,8 +98,7 @@ def _cmd_compile(args, result, out, err) -> int:
 def _cmd_run(args, result, out, err) -> int:
     world_def = result.world(args.world)
     if world_def is None:
-        print(f"unknown world: {args.world}", file=err)
-        return 1
+        raise XfoError(f"unknown world: {args.world}")
     world = microworld.build_world(result.registry, world_def, seed=args.seed)
     if args.chain is not None:
         bindings = {spawn.instance: spawn.instance for spawn in world_def.spawns}

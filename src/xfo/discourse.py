@@ -51,9 +51,6 @@ class ClaimLedger:
         self._lookup = instance_lookup
         self._claims: dict[str, Claim] = {}
 
-    def claims(self) -> tuple[Claim, ...]:
-        return tuple(self._claims.values())
-
     def claim(self, claim_id: str) -> Claim:
         claim = self._claims.get(claim_id)
         if claim is None:

@@ -92,11 +92,6 @@ class KindTable:
     def __contains__(self, name: str) -> bool:
         return name in self._table
 
-    def parent(self, name: str) -> str | None:
-        if name not in self._table:
-            raise XfoError(f"unknown kind: {name}")
-        return self._table[name]
-
     def path_to_entity(self, name: str) -> tuple[str, ...]:
         """The unique parent chain from ``name`` up to and including Entity."""
         path = self.paths.get(name)

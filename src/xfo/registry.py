@@ -134,12 +134,6 @@ class Registry:
     def schemas(self) -> MappingProxyType:
         return self._schemas
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._schemas
-
-    def get(self, name: str) -> schemas.Schema | None:
-        return self._schemas.get(name)
-
     def object_schema(self, name: str) -> schemas.ThickObjectSchema | None:
         return self._index.objects.get(name)
 

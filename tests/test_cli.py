@@ -1,7 +1,6 @@
 import io
 import json
 
-import pytest
 from conftest import CORPUS_FILES, MODELS_DIR
 from helpers import count_calls
 
@@ -17,13 +16,6 @@ def invoke(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_validate_corpus_exits_zero_silently():
-    code, out, err = invoke(["validate", *CORPUS_PATHS])
-    assert code == 0
-    assert out == ""
-    assert err == ""
-
-
 def test_validate_reports_errors_and_exits_one(tmp_path):
     bad = tmp_path / "bad.xfo"
     bad.write_text("object Bench { part oven: Kiln function \"bakes\" }\n")
@@ -31,14 +23,6 @@ def test_validate_reports_errors_and_exits_one(tmp_path):
     assert code == 1
     assert "DanglingReference" in err
     assert "bad.xfo" in err
-
-
-def test_compile_prints_fingerprint():
-    code, out, _ = invoke(["compile", *CORPUS_PATHS])
-    assert code == 0
-    fingerprint = out.strip()
-    assert len(fingerprint) == 16
-    int(fingerprint, 16)
 
 
 def test_compile_without_files_is_usage_error(capsys):
@@ -75,45 +59,6 @@ def test_run_trace_ends_with_green(tmp_path):
     last = json.loads(lines[-1])
     assert last["name"] == "turn_green"
     assert ["light", "color", "green"] in last["edits"]["creates"]
-
-
-@pytest.mark.parametrize("model, args, line", [
-    ("trafficlight.xfo", ["--world", "demo", "--chain", "cycle"],
-     "status=completed ticks=1 fingerprint=625c1cefbdda0167"),
-    ("trafficlight.xfo", ["--world", "demo", "--chain", "cycle", "--ticks", "1"],
-     "status=completed ticks=1 fingerprint=625c1cefbdda0167"),
-    ("waterdropper-goryeo.xfo", ["--world", "studio", "--chain", "pottery"],
-     "status=completed ticks=3 fingerprint=2b2a797fd54a8de3"),
-    ("clock-orchestra.xfo", ["--world", "workshop", "--chain", "unwind"],
-     "status=completed ticks=1 fingerprint=55ace35b0f3ed3d9"),
-    ("windshield.xfo", ["--world", "crash_test"],
-     "status=quiescent ticks=0 fingerprint=08061ec0db0c28be"),
-    ("village-gangjin.xfo", ["--world", "gangjin"],
-     "status=quiescent ticks=0 fingerprint=e1dd00ab8daaae57"),
-])
-def test_run_status_line_of_each_corpus_world(model, args, line):
-    assert invoke(["run", str(MODELS_DIR / model), *args]) == (0, line + "\n", "")
-
-
-def test_run_trace_to_an_unwritable_path_is_one_error_line(tmp_path):
-    trace = tmp_path / "missing-dir" / "t.ndjson"
-    code, out, err = invoke(
-        ["run", str(MODELS_DIR / "trafficlight.xfo"), "--world", "demo", "--chain", "cycle",
-         "--trace", str(trace)]
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith(f"error: cannot write {trace}: ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
-
-
-def test_run_unknown_world_exits_one():
-    code, _, err = invoke(
-        ["run", str(MODELS_DIR / "trafficlight.xfo"), "--world", "nowhere"]
-    )
-    assert code == 1
-    assert "unknown world" in err
 
 
 def test_run_interaction_mode_quiesces():
@@ -173,18 +118,6 @@ def test_equiv_bad_space_spec():
     )
     assert code == 1
     assert "bad space entry" in err
-
-
-@pytest.mark.parametrize("chain_a, space, message", [
-    ("nope", "l:TrafficLight", "error: unknown chain: nope"),
-    ("cycle", "o:Orchestra", "error: 'Orchestra' is not an object schema"),
-    ("cycle", ",", "error: state space is empty"),
-])
-def test_equiv_error_is_one_line_and_exit_one(chain_a, space, message):
-    code, out, err = invoke(
-        ["equiv", *CORPUS_PATHS, "--a", chain_a, "--b", "go_yellow", "--space", space]
-    )
-    assert (code, out, err) == (1, "", message + "\n")
 
 
 def test_metrics_lines_are_tab_separated():
@@ -254,15 +187,6 @@ def test_inus_field_file_accepts_condition_and_conditions_lines(tmp_path):
     assert out.strip() == "condition=fuel inus=true witness=fuel+spark"
 
 
-def test_validate_names_an_empty_string_by_its_source_text(tmp_path):
-    model = tmp_path / "empty.xfo"
-    model.write_text('quality "" { a }\n')
-    code, out, err = invoke(["validate", str(model)])
-    assert code == 1
-    assert out == ""
-    assert err == "empty.xfo:1:9: error[SyntaxError]: expected quality name, found '\"\"'\n"
-
-
 def test_validate_reports_a_repeated_determinant_without_a_traceback(tmp_path, capsys):
     path = tmp_path / "dup.xfo"
     path.write_text("quality hue { a, a }\n")
@@ -280,19 +204,6 @@ def test_inus_bad_field_file(tmp_path):
     code, _, err = invoke(["inus", str(field), "--condition", "x"])
     assert code == 1
     assert "bad field line" in err
-
-
-def test_expand_output_deterministic():
-    code, out, _ = invoke(["expand", "--root", "bak"])
-    assert code == 0
-    assert out == (
-        "role baker on Person\n"
-        "process baking participants Person\n"
-        "object bakery\n"
-        "link has_role(Person, baker)\n"
-        "link participates_in(Person, baking)\n"
-        "link located_in(baking, bakery)\n"
-    )
 
 
 def test_expand_empty_root_errors():

@@ -1,0 +1,255 @@
+"""The CLI contract: every line the CI workflow pins, run in-process through ``cli.main``.
+
+Each row of ``ROWS`` is one command: its argv, the input files it writes to
+its own directory, the exact stdout and stderr lines and the exit code. In an
+argv, ``models/*.xfo`` stands for the corpus files in the shell glob's order,
+``models/<name>`` for one corpus file and a name in ``files`` for that input
+file; every other argument passes as written. ``tests/test_reach.py`` runs
+the same rows to decide which functions the contract enters.
+"""
+
+import io
+import shlex
+import time
+from typing import NamedTuple
+
+import pytest
+from conftest import CORPUS_FILES, MODELS_DIR
+
+from xfo.cli import main
+
+
+class Prefix(str):
+    """An expected line of which only the start is fixed: the OS words the rest."""
+
+
+class Row(NamedTuple):
+    command: str
+    out: tuple[str, ...] = ()
+    err: tuple[str, ...] = ()
+    code: int = 0
+    files: dict[str, str] = {}
+    seconds: float | None = None  # a wall-clock bound, as CI's ``timeout``
+
+
+LIGHTS = "".join(f"l{i:02d}:TrafficLight," for i in range(12))
+BIG_FIELD = "".join([
+    "outcome big\n",
+    *(f"condition c{i}\n" for i in range(40)),
+    "sufficient " + " ".join(f"c{i}" for i in range(20)) + "\n",
+    "sufficient " + " ".join(f"c{i}" for i in range(20, 40)) + "\n",
+])
+OBJECT_ITEM = "error[SyntaxError]: expected an object item (quality/part/function/role), found"
+
+ROWS = {
+    # CLI module entry point on the corpus
+    "validate-corpus": Row("validate models/*.xfo"),
+    "compile-corpus": Row("compile models/*.xfo", out=("387a3353570b14a8",)),
+    # Run status lines of the corpus
+    "run-trafficlight": Row(
+        "run models/trafficlight.xfo --world demo --chain cycle",
+        out=("status=completed ticks=1 fingerprint=625c1cefbdda0167",)),
+    "run-trafficlight-ticks-1": Row(
+        "run models/trafficlight.xfo --world demo --chain cycle --ticks 1",
+        out=("status=completed ticks=1 fingerprint=625c1cefbdda0167",)),
+    "run-waterdropper": Row(
+        "run models/waterdropper-goryeo.xfo --world studio --chain pottery",
+        out=("status=completed ticks=3 fingerprint=2b2a797fd54a8de3",)),
+    "run-clock-orchestra": Row(
+        "run models/clock-orchestra.xfo --world workshop --chain unwind",
+        out=("status=completed ticks=1 fingerprint=55ace35b0f3ed3d9",)),
+    "run-windshield": Row(
+        "run models/windshield.xfo --world crash_test",
+        out=("status=quiescent ticks=0 fingerprint=08061ec0db0c28be",)),
+    "run-village": Row(
+        "run models/village-gangjin.xfo --world gangjin",
+        out=("status=quiescent ticks=0 fingerprint=e1dd00ab8daaae57",)),
+    "run-unknown-world": Row(
+        "run models/trafficlight.xfo --world nope",
+        err=("error: unknown world: nope",), code=1),
+    # A trace that cannot be written is one error line, not a traceback
+    "run-unwritable-trace": Row(
+        "run models/trafficlight.xfo --world demo --chain cycle --trace /nonexistent/dir/t.ndjson",
+        err=(Prefix("error: cannot write /nonexistent/dir/t.ndjson: "),), code=1),
+    # Foundry metrics on the corpus
+    "metrics-corpus": Row(
+        "metrics models/*.xfo --orthogonality trafficlight windshield"
+        " --specificity TrafficLight --exhaustivity TrafficLight,Windshield",
+        out=("orthogonality\ttrafficlight windshield\t1.0",
+             "specificity\tTrafficLight\t1",
+             "exhaustivity\tTrafficLight,Windshield\t1")),
+    "metrics-celadon-dropper": Row(
+        "metrics models/*.xfo --specificity CeladonDropper",
+        out=("specificity\tCeladonDropper\t3",)),
+    "metrics-orchestra": Row(
+        "metrics models/*.xfo --specificity Orchestra", out=("specificity\tOrchestra\t1",)),
+    # A declaration the parser drops is reported once
+    "validate-broken": Row(
+        "validate broken.xfo",
+        files={"broken.xfo": "quality hue { }\nobject Lamp { quality hue: hue required }\n"},
+        err=("broken.xfo:1:15: error[SyntaxError]: expected determinant, found '}'",), code=1),
+    # Resync passes over a quality slot, stops at the next declaration
+    "validate-phantom": Row(
+        "validate phantom.xfo",
+        files={"phantom.xfo": "quality hue { red }\nobject Lamp {\n  quality a: hue\n  bogus\n"
+                              "  quality b: hue\n}\nrelation lit(b, b)\n"},
+        err=(f"phantom.xfo:4:3: {OBJECT_ITEM} 'bogus'",
+             "phantom.xfo:7:1: error[DanglingReference]: "
+             "'b' is not declared in this module or its imports"),
+        code=1),
+    "validate-unclosed": Row(
+        "validate unclosed.xfo",
+        files={"unclosed.xfo": "quality hue { red }\nobject Lamp {\n  quality a: hue\n"
+                               "object B { }\nrelation lit(B, Lamp)\n"},
+        err=(f"unclosed.xfo:4:1: {OBJECT_ITEM} 'object'",), code=1),
+    "validate-keyword": Row(
+        "validate keyword.xfo",
+        files={"keyword.xfo": 'object world { }\nobject A {\n  bogus\n  part q: world function "y"\n}\n'},
+        err=(f"keyword.xfo:3:3: {OBJECT_ITEM} 'bogus'",), code=1),
+    # A repeated determinant and a predicate with two meanings are one diagnostic each
+    "validate-dupdet": Row(
+        "validate dupdet.xfo",
+        files={"dupdet.xfo": "quality hue { a, a }\n"},
+        err=("dupdet.xfo:1:1: error[DuplicateName]: quality 'hue' repeats a determinant",), code=1),
+    "validate-partof": Row(
+        "validate partof.xfo",
+        files={"partof.xfo": "object Box { }\nrelation part_of(Box, Box)\n"},
+        err=("partof.xfo:2:1: error[DuplicateName]: "
+             "relation 'part_of' is also a built-in predicate",),
+        code=1),
+    # A repeated quality slot and a repeated part slot are one diagnostic each
+    "validate-dupslot": Row(
+        "validate dupslot.xfo",
+        files={"dupslot.xfo": 'quality hue { a }\nobject Gear { }\nobject Lamp {\n'
+                              '  quality color: hue\n  part a: Gear function "x"\n'
+                              '  quality color: hue required\n  part a: Gear function "y"\n}\n'},
+        err=("dupslot.xfo:6:3: error[DuplicateName]: object 'Lamp' repeats quality slot 'color'",
+             "dupslot.xfo:7:3: error[DuplicateName]: object 'Lamp' repeats part slot 'a'"),
+        code=1),
+    # A repeated world or claim, a reserved name and a function serving a
+    # schema or an upper name are one line each
+    "validate-dupworld": Row(
+        "validate dupworld.xfo",
+        files={"dupworld.xfo": "world w { }\nworld w { }\n"},
+        err=("dupworld.xfo:2:1: error[DuplicateName]: world 'w' is already defined",), code=1),
+    "validate-dupclaim": Row(
+        "validate dupclaim.xfo",
+        files={"dupclaim.xfo": 'claim c "first"\nclaim c "second"\n'},
+        err=("dupclaim.xfo:2:1: error[DuplicateName]: claim 'c' is already defined",), code=1),
+    "validate-entity": Row(
+        "validate entity.xfo",
+        files={"entity.xfo": "object Entity { }\n"},
+        err=("entity.xfo:1:1: error[ReservedUpperTaxonomyName]: "
+             "'Entity' is an upper-taxonomy name and cannot be redeclared",),
+        code=1),
+    "validate-serves": Row(
+        "validate serves.xfo",
+        files={"serves.xfo": "object Kiln { }\nobject Oven { function bakes serves Kiln }\n"},
+        err=("serves.xfo:2:15: error[DuplicateName]: "
+             "function 'bakes' serves 'Kiln', which is not a need",),
+        code=1),
+    "validate-oven": Row(
+        "validate oven.xfo",
+        files={"oven.xfo": "object Oven { function bakes serves Entity }\n"},
+        err=("oven.xfo:1:15: error[DuplicateName]: "
+             "function 'bakes' serves 'Entity', which is not a need",),
+        code=1),
+    # Equivalence sweep verdicts on the corpus
+    "equiv-two-lights": Row(
+        "equiv models/*.xfo --a cycle --b go_yellow --space lamp-b:TrafficLight,lamp-a:TrafficLight",
+        out=("counterexample: lamp-a.color=red lamp-b.color=green",)),
+    "equiv-lights-and-clock": Row(
+        "equiv models/*.xfo --a cycle --b go_green_swapped --space b:TrafficLight,a:TrafficLight,c:Clock",
+        out=("equivalent states=18",)),
+    "equiv-light-two-clocks": Row(
+        "equiv models/*.xfo --a cycle --b go_yellow --space m:TrafficLight,z:Clock,a:Clock",
+        out=("counterexample: a.tension=wound m.color=red z.tension=wound",)),
+    "equiv-light-two-clocks-swapped": Row(
+        "equiv models/*.xfo --a cycle --b go_green_swapped --space m:TrafficLight,z:Clock,a:Clock",
+        out=("equivalent states=12",)),
+    # An equivalence check that cannot start is one error line and exit 1
+    "equiv-unknown-chain": Row(
+        "equiv models/*.xfo --a nope --b go_yellow --space l:TrafficLight",
+        err=("error: unknown chain: nope",), code=1),
+    "equiv-not-an-object": Row(
+        "equiv models/*.xfo --a cycle --b go_yellow --space o:Orchestra",
+        err=("error: 'Orchestra' is not an object schema",), code=1),
+    "equiv-empty-space": Row(
+        "equiv models/*.xfo --a cycle --b go_yellow --space ,",
+        err=("error: state space is empty",), code=1),
+    # Equivalence cone on large spaces
+    "equiv-12-lights-swapped": Row(
+        f"equiv models/*.xfo --a cycle --b go_green_swapped --space {LIGHTS}",
+        out=("equivalent states=531441",), seconds=20),
+    "equiv-12-lights-yellow": Row(
+        f"equiv models/*.xfo --a cycle --b go_yellow --space {LIGHTS}",
+        out=("counterexample: l00.color=red " + " ".join(f"l{i:02d}.color=green" for i in range(1, 12)),),
+        seconds=20),
+    "equiv-ink": Row(
+        "equiv models/*.xfo --a mix_ink --b mix_ink --space d:WaterDropper,s:InkStone,t:InkStick,b:Brush",
+        out=("equivalent states=36",), seconds=20),
+    # INUS on a 40-condition field finishes; an empty string is named as written
+    "inus-40-conditions": Row(
+        "inus big.field --condition c0",
+        files={"big.field": BIG_FIELD},
+        out=("condition=c0 inus=true witness=c0+c1+c10+c11+c12+c13+c14+c15+c16+c17+c18+c19"
+             "+c2+c3+c4+c5+c6+c7+c8+c9",),
+        seconds=20),
+    "validate-empty-string": Row(
+        "validate empty.xfo",
+        files={"empty.xfo": 'quality "" { a }\n'},
+        err=("empty.xfo:1:9: error[SyntaxError]: expected quality name, found '\"\"'",), code=1),
+    # The README's example of a macro expansion
+    "expand-bak": Row(
+        "expand --root bak",
+        out=("role baker on Person",
+             "process baking participants Person",
+             "object bakery",
+             "link has_role(Person, baker)",
+             "link participates_in(Person, baking)",
+             "link located_in(baking, bakery)")),
+}
+
+
+def argv_of(row, directory):
+    argv = []
+    for arg in shlex.split(row.command):
+        if arg == "models/*.xfo":
+            argv += [str(MODELS_DIR / name) for name in CORPUS_FILES]
+        elif arg.startswith("models/"):
+            argv.append(str(MODELS_DIR / arg.removeprefix("models/")))
+        elif arg in row.files:
+            argv.append(str(directory / arg))
+        else:
+            argv.append(arg)
+    return argv
+
+
+def invoke(row, directory):
+    """Write the row's files to ``directory``, run it; (exit code, stdout, stderr)."""
+    for name, text in row.files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = main(argv_of(row, directory), out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_lines(text, expected):
+    """``text`` is the expected lines, each ended by a newline; of a ``Prefix``, only the start."""
+    lines = text.split("\n")
+    assert lines.pop() == "" and len(lines) == len(expected), text
+    shown = [line[:len(want)] if isinstance(want, Prefix) else line
+             for line, want in zip(lines, expected)]
+    assert shown == list(expected)
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_cli_contract(name, tmp_path):
+    row = ROWS[name]
+    start = time.perf_counter()
+    code, out, err = invoke(row, tmp_path)
+    elapsed = time.perf_counter() - start
+    assert code == row.code, err
+    assert_lines(out, row.out)
+    assert_lines(err, row.err)
+    assert row.seconds is None or elapsed < row.seconds

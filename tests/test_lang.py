@@ -435,6 +435,8 @@ def test_every_frozen_slotted_record_is_built_by_record(cls):
         assert list(inspect.signature(writer).parameters) == ["self", *values]
         instance = TimelineEvent(0, "spawn", "l1", ("l1",), (("member", "a1"),))
         assert instance.edits == (("member", "a1"),)
+        assert repr(instance) == ("TimelineEvent(tick=0, kind='spawn', name='l1', "
+                                  "participants=('l1',), edits=(('member', 'a1'),))")
         writer(instance, *values.values())
     else:
         assert cls.__init__.__code__.co_filename == f"<record {cls.__module__}.{cls.__qualname__}>"
