@@ -164,6 +164,8 @@ def _cmd_metrics(args, result, out, err) -> int:
         emitted = True
     if args.exhaustivity:
         terms = tuple(t.strip() for t in args.exhaustivity.split(",") if t.strip())
+        if not terms:
+            raise XfoError("exhaustivity term list is empty")
         value = foundry.exhaustivity(terms)
         print(f"exhaustivity\t{','.join(terms)}\t{value}", file=out)
         emitted = True

@@ -37,7 +37,6 @@ from .errors import (
     RecursiveCompositionError,
     ReservedUpperTaxonomyNameError,
     UnboundVariableError,
-    XfoError,
 )
 from .fingerprint import dataclass_fields, stable_fingerprint
 
@@ -199,8 +198,6 @@ class Registry:
 
     def specificity(self, name: str) -> int:
         """Edges from a registered kind down from its upper attachment point."""
-        if name not in self.kinds:
-            raise XfoError(f"unknown kind: {name}")
         return self.kinds.depth_below_attachment(name)
 
     # -- predicate helpers -------------------------------------------------------
@@ -411,11 +408,8 @@ class RegistryBuilder:
                     if isinstance(step, schemas.DoStep):
                         if step.transitional not in index.transitionals:
                             missing(name, "transitional", step.transitional)
-                    elif (
-                        step.condition is not None
-                        and step.condition.predicate not in index.predicates
-                    ):
-                        missing(name, "predicate", step.condition.predicate)
+                    elif step.condition is not None:
+                        check_pattern(name, step.condition, None)
             elif isinstance(schema, schemas.ProcessSchema):
                 for ref in schema.participants:
                     if ref not in index.kind_names:

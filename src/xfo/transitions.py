@@ -17,7 +17,6 @@ from .errors import (
     DestroyedBearerError,
     MissingBindingError,
     UnknownChainError,
-    UnknownInstanceError,
     XfoError,
 )
 from .records import record
@@ -203,12 +202,9 @@ def instantiate_chain(
         raise UnknownChainError(f"unknown chain: {chain_name}")
     bound: list[tuple[str, str]] = []  # (instance id, schema) in binding-name order
     for name, instance_id in sorted(bindings.items()):
-        try:
-            bound.append((instance_id, world.store.instance(instance_id).schema))
-        except UnknownInstanceError:
-            raise MissingBindingError(
-                f"binding {name}={instance_id!r} names an unknown instance"
-            ) from None
+        if not world.store.has_instance(instance_id):
+            raise MissingBindingError(f"binding {name}={instance_id!r} names an unknown instance")
+        bound.append((instance_id, world.store.instance(instance_id).schema))
     bearer_map: dict[str, str] = {}
     for name in dict.fromkeys(step.transitional for step in reachable_do_steps(chain)):
         transitional = registry.transitional(name)

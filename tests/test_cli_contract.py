@@ -1,11 +1,13 @@
-"""The CLI contract: every line the CI workflow pins, run in-process through ``cli.main``.
+"""The CLI contract: every pinned line of the ``xfo`` CLI, run in-process through ``cli.main``.
 
 Each row of ``ROWS`` is one command: its argv, the input files it writes to
 its own directory, the exact stdout and stderr lines and the exit code. In an
 argv, ``models/*.xfo`` stands for the corpus files in the shell glob's order,
 ``models/<name>`` for one corpus file and a name in ``files`` for that input
-file; every other argument passes as written. ``tests/test_reach.py`` runs
-the same rows to decide which functions the contract enters.
+file; every other argument passes as written. A re-pin is one edit here:
+CI runs this table in tier-1 and checks beside it only that ``python -m
+xfo.cli`` starts on the corpus. ``tests/test_reach.py`` runs the same rows to
+decide which functions the contract enters.
 """
 
 import io
@@ -39,13 +41,18 @@ BIG_FIELD = "".join([
     "sufficient " + " ".join(f"c{i}" for i in range(20)) + "\n",
     "sufficient " + " ".join(f"c{i}" for i in range(20, 40)) + "\n",
 ])
+FIRE_FIELD = ("outcome house_fire\nconditions short_circuit, flammable_material, arson\n"
+              "sufficient short_circuit flammable_material\nsufficient arson\n")
+DANGLING_KILN = 'object Bench { part oven: Kiln function "bakes" }\n'
 OBJECT_ITEM = "error[SyntaxError]: expected an object item (quality/part/function/role), found"
 
 ROWS = {
-    # CLI module entry point on the corpus
+    # The corpus validates and compiles
     "validate-corpus": Row("validate models/*.xfo"),
     "compile-corpus": Row("compile models/*.xfo", out=("387a3353570b14a8",)),
-    # Run status lines of the corpus
+    "compile-missing-file": Row(
+        "compile no/such/file.xfo", err=(Prefix("error: cannot read no/such/file.xfo: "),), code=1),
+    # Run status lines: each corpus world, interaction mode and an unknown world
     "run-trafficlight": Row(
         "run models/trafficlight.xfo --world demo --chain cycle",
         out=("status=completed ticks=1 fingerprint=625c1cefbdda0167",)),
@@ -64,6 +71,9 @@ ROWS = {
     "run-village": Row(
         "run models/village-gangjin.xfo --world gangjin",
         out=("status=quiescent ticks=0 fingerprint=e1dd00ab8daaae57",)),
+    "run-interaction-mode": Row(
+        "run models/trafficlight.xfo --world demo --ticks 5",
+        out=("status=quiescent ticks=0 fingerprint=bc2fabca0c0711f8",)),
     "run-unknown-world": Row(
         "run models/trafficlight.xfo --world nope",
         err=("error: unknown world: nope",), code=1),
@@ -71,7 +81,7 @@ ROWS = {
     "run-unwritable-trace": Row(
         "run models/trafficlight.xfo --world demo --chain cycle --trace /nonexistent/dir/t.ndjson",
         err=(Prefix("error: cannot write /nonexistent/dir/t.ndjson: "),), code=1),
-    # Foundry metrics on the corpus
+    # Foundry metrics on the corpus, and each request it cannot answer
     "metrics-corpus": Row(
         "metrics models/*.xfo --orthogonality trafficlight windshield"
         " --specificity TrafficLight --exhaustivity TrafficLight,Windshield",
@@ -83,6 +93,36 @@ ROWS = {
         out=("specificity\tCeladonDropper\t3",)),
     "metrics-orchestra": Row(
         "metrics models/*.xfo --specificity Orchestra", out=("specificity\tOrchestra\t1",)),
+    "metrics-pottery": Row(
+        "metrics models/*.xfo --orthogonality trafficlight windshield"
+        " --specificity CeladonDropper --exhaustivity glaze_color,moisture,calligrapher",
+        out=("orthogonality\ttrafficlight windshield\t1.0",
+             "specificity\tCeladonDropper\t3",
+             "exhaustivity\tglaze_color,moisture,calligrapher\t2")),
+    "metrics-nothing-requested": Row(
+        "metrics models/*.xfo", err=("metrics: nothing requested",), code=2),
+    "metrics-unknown-module": Row(
+        "metrics models/*.xfo --orthogonality trafficlight nope",
+        err=("error: unknown module: nope",), code=1),
+    "metrics-unknown-schema": Row(
+        "metrics models/*.xfo --specificity Nope", err=("error: unknown schema: Nope",), code=1),
+    "metrics-unknown-term": Row(
+        "metrics models/*.xfo --exhaustivity nope",
+        err=("error: term 'nope' belongs to no registered module",), code=1),
+    "metrics-empty-exhaustivity": Row(
+        "metrics models/*.xfo --exhaustivity ,",
+        err=("error: exhaustivity term list is empty",), code=1),
+    # A dangling reference is named by the file given, whatever its suffix
+    "validate-dangling": Row(
+        "validate bad.xfo", files={"bad.xfo": DANGLING_KILN},
+        err=("bad.xfo:1:16: error[DanglingReference]: "
+             "'Kiln' is not declared in this module or its imports",),
+        code=1),
+    "validate-user-model": Row(
+        "validate user.model", files={"user.model": DANGLING_KILN},
+        err=("user.model:1:16: error[DanglingReference]: "
+             "'Kiln' is not declared in this module or its imports",),
+        code=1),
     # A declaration the parser drops is reported once
     "validate-broken": Row(
         "validate broken.xfo",
@@ -154,7 +194,13 @@ ROWS = {
         err=("oven.xfo:1:15: error[DuplicateName]: "
              "function 'bakes' serves 'Entity', which is not a need",),
         code=1),
-    # Equivalence sweep verdicts on the corpus
+    # Equivalence sweep verdicts: one light, then spaces over the corpus
+    "equiv-one-light-swapped": Row(
+        "equiv models/trafficlight.xfo --a cycle --b go_green_swapped --space light:TrafficLight",
+        out=("equivalent states=3",)),
+    "equiv-one-light-yellow": Row(
+        "equiv models/trafficlight.xfo --a cycle --b go_yellow --space light:TrafficLight",
+        out=("counterexample: light.color=red",)),
     "equiv-two-lights": Row(
         "equiv models/*.xfo --a cycle --b go_yellow --space lamp-b:TrafficLight,lamp-a:TrafficLight",
         out=("counterexample: lamp-a.color=red lamp-b.color=green",)),
@@ -177,6 +223,9 @@ ROWS = {
     "equiv-empty-space": Row(
         "equiv models/*.xfo --a cycle --b go_yellow --space ,",
         err=("error: state space is empty",), code=1),
+    "equiv-bad-space-entry": Row(
+        "equiv models/trafficlight.xfo --a cycle --b go_yellow --space justaname",
+        err=("error: bad space entry 'justaname'; expected name:Schema",), code=1),
     # Equivalence cone on large spaces
     "equiv-12-lights-swapped": Row(
         f"equiv models/*.xfo --a cycle --b go_green_swapped --space {LIGHTS}",
@@ -199,7 +248,26 @@ ROWS = {
         "validate empty.xfo",
         files={"empty.xfo": 'quality "" { a }\n'},
         err=("empty.xfo:1:9: error[SyntaxError]: expected quality name, found '\"\"'",), code=1),
-    # The README's example of a macro expansion
+    # INUS verdicts and field-file errors
+    "inus-fire-short-circuit": Row(
+        "inus fire.field --condition short_circuit", files={"fire.field": FIRE_FIELD},
+        out=("condition=short_circuit inus=true witness=flammable_material+short_circuit",)),
+    "inus-fire-arson": Row(
+        "inus fire.field --condition arson", files={"fire.field": FIRE_FIELD},
+        out=("condition=arson inus=false witness=-",)),
+    "inus-condition-and-conditions-lines": Row(
+        "inus mixed.field --condition fuel",
+        files={"mixed.field": "outcome fire\ncondition spark\nconditions fuel, arson\n"
+                              "sufficient spark fuel\nsufficient arson\n"},
+        out=("condition=fuel inus=true witness=fuel+spark",)),
+    "inus-bad-field-line": Row(
+        "inus broken.field --condition x", files={"broken.field": "nonsense here\n"},
+        err=("error: bad field line: 'nonsense here'",), code=1),
+    "inus-unknown-condition": Row(
+        "inus f.field --condition nope",
+        files={"f.field": "outcome f\nconditions a, b\nsufficient a\nsufficient b\n"},
+        err=("error: condition 'nope' not in universe",), code=1),
+    # Macro expansion: the README's example and an empty root
     "expand-bak": Row(
         "expand --root bak",
         out=("role baker on Person",
@@ -208,6 +276,9 @@ ROWS = {
              "link has_role(Person, baker)",
              "link participates_in(Person, baking)",
              "link located_in(baking, bakery)")),
+    "expand-empty-root": Row(
+        "expand --root ''",
+        err=("error: activity root must be a non-empty identifier, got ''",), code=1),
 }
 
 

@@ -88,7 +88,6 @@ API_ONLY = {
     "relations.py:RelationStore.bind_member": "RelationStore.bind_member",
     "relations.py:RelationStore.clone": "RelationStore.clone",
     "relations.py:RelationStore.destroy_instance": "RelationStore.destroy_instance",
-    "relations.py:RelationStore.has_instance": "RelationStore.has_instance",
     "relations.py:RelationStore.instances": "RelationStore.instances",
     "relations.py:RelationStore.instantiate_aggregate_from_member":
         "RelationStore.instantiate_aggregate_from_member",
