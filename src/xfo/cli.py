@@ -2,12 +2,15 @@
 
 Exit codes: 0 on success, 1 when error diagnostics (or data errors) occur,
 2 on usage errors. All output is deterministic for fixed inputs and seed.
+``main`` is the one error path: it prints each error once, on the streams it
+was given, argparse's usage lines and ``--help`` among them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from . import equivalence, microworld, transitions
@@ -70,7 +73,7 @@ def _load(paths: list[str]):
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
-            raise XfoError(f"cannot read {raw}: {exc}") from exc
+            raise XfoError(f"cannot read {raw}: {exc.strerror}") from exc
         module, diagnostics = parse_module(text, name=path.stem, file=path.name)
         modules.append((module, diagnostics))
     parse_diagnostics = [d for _, diags in modules for d in diags]
@@ -79,15 +82,11 @@ def _load(paths: list[str]):
     return result
 
 
-def _report(result, out, err) -> int:
-    report = format_diagnostics(result.diagnostics)
-    if not result.ok:
-        if report:
-            print(report, file=err)
-        return 1
-    if report:
-        print(report, file=out)
-    return 0
+def _report(result, err) -> int:
+    if result.ok:
+        return 0
+    print(format_diagnostics(result.diagnostics), file=err)
+    return 1
 
 
 def _cmd_compile(args, result, out, err) -> int:
@@ -100,17 +99,18 @@ def _cmd_run(args, result, out, err) -> int:
     if world_def is None:
         raise XfoError(f"unknown world: {args.world}")
     world = microworld.build_world(result.registry, world_def, seed=args.seed)
+    instance = None
     if args.chain is not None:
         bindings = {spawn.instance: spawn.instance for spawn in world_def.spawns}
         instance = transitions.instantiate_chain(world, args.chain, bindings)
-        outcome = microworld.run(world, instance, max_ticks=args.ticks)
-    else:
-        outcome = microworld.run(world, max_ticks=args.ticks)
+    outcome = microworld.run(world, instance, max_ticks=args.ticks)
     if args.trace:
         try:
             Path(args.trace).write_text(world.timeline_ndjson(), encoding="utf-8")
         except OSError as exc:
-            raise XfoError(f"cannot write {args.trace}: {exc}") from exc
+            raise XfoError(f"cannot write {args.trace}: {exc.strerror}") from exc
+    if instance is not None and instance.abort_reason:
+        print(f"aborted: {instance.abort_reason}", file=err)
     print(
         f"status={outcome.status} ticks={outcome.ticks_used} "
         f"fingerprint={world.fingerprint()}",
@@ -148,30 +148,25 @@ def _cmd_equiv(args, result, out, err) -> int:
 
 
 def _cmd_metrics(args, result, out, err) -> int:
+    if not (args.orthogonality or args.specificity or args.exhaustivity):
+        raise XfoError("nothing requested; give --orthogonality, --specificity or --exhaustivity")
     foundry = Foundry(result.registry)
     for info in result.modules:
         foundry.register_facet(info.facet)
         foundry.register_module(info)
-    emitted = False
     if args.orthogonality:
         module_a, module_b = args.orthogonality
         value = foundry.orthogonality(module_a, module_b)
         print(f"orthogonality\t{module_a} {module_b}\t{value}", file=out)
-        emitted = True
     if args.specificity:
         value = foundry.specificity(args.specificity)
         print(f"specificity\t{args.specificity}\t{value}", file=out)
-        emitted = True
     if args.exhaustivity:
         terms = tuple(t.strip() for t in args.exhaustivity.split(",") if t.strip())
         if not terms:
             raise XfoError("exhaustivity term list is empty")
         value = foundry.exhaustivity(terms)
         print(f"exhaustivity\t{','.join(terms)}\t{value}", file=out)
-        emitted = True
-    if not emitted:
-        print("metrics: nothing requested", file=err)
-        return 2
     return 0
 
 
@@ -182,7 +177,7 @@ def _parse_field_file(path: str) -> CausalField:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise XfoError(f"cannot read {path}: {exc}") from exc
+        raise XfoError(f"cannot read {path}: {exc.strerror}") from exc
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -246,14 +241,15 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _PARSER.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):  # argparse writes to sys's streams
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.command in _COMMANDS:
             return _COMMANDS[args.command](args, out, err)
         result = _load(args.files)
-        return _report(result, out, err) or _COMPILED_COMMANDS[args.command](
+        return _report(result, err) or _COMPILED_COMMANDS[args.command](
             args, result, out, err
         )
     except XfoError as exc:

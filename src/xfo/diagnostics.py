@@ -13,7 +13,6 @@ WARNING = "warning"
 SYNTAX = "SyntaxError"
 DUPLICATE_NAME = "DuplicateName"
 DUPLICATE_MODULE = "DuplicateModule"
-RESERVED_NAME = "ReservedUpperTaxonomyName"
 DANGLING_REFERENCE = "DanglingReference"
 INHERITANCE_CYCLE = "InheritanceCycle"
 UNBOUND_OCCURRENT = "UnboundOccurrent"

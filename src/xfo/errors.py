@@ -1,9 +1,11 @@
 """Exception types raised across the engine.
 
 Everything derives from XfoError so callers can catch the whole family.
+One naming rule joins errors and diagnostics: a diagnostic code is its error
+class's name without ``Error`` (``DuplicateName`` is ``DuplicateNameError``).
 Registry resolution reports findings first; the compiler turns each into a
-positioned diagnostic, and ``RegistryBuilder.resolve`` raises the registry
-errors below only for API callers.
+positioned diagnostic, and ``RegistryBuilder.resolve`` raises the class a
+finding's code names only for API callers.
 """
 
 from __future__ import annotations

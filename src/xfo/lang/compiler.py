@@ -22,13 +22,12 @@ from ..diagnostics import (
     DUPLICATE_MODULE,
     DUPLICATE_NAME,
     ERROR,
-    RESERVED_NAME,
     UNBOUND_VARIABLE,
     Diagnostic,
     Span,
     has_errors,
 )
-from ..errors import DuplicateNameError, ReservedUpperTaxonomyNameError
+from ..errors import XfoError
 from ..fingerprint import stable_fingerprint
 from ..kinds import is_upper
 from ..registry import BUILTIN_PREDICATES, Registry, RegistryBuilder, validation_findings
@@ -120,10 +119,8 @@ class _Lowering:
         try:
             self.builder.register(schema)
             self.spans[schema.name] = (self.file, span)
-        except ReservedUpperTaxonomyNameError as exc:
-            self.error(RESERVED_NAME, str(exc), span)
-        except DuplicateNameError as exc:
-            self.error(DUPLICATE_NAME, str(exc), span)
+        except XfoError as exc:  # the code is the class's name without ``Error``
+            self.error(type(exc).__name__.removesuffix("Error"), str(exc), span)
 
     def define(self, table: dict, what: str, decl, value) -> None:
         """Keep the first world or claim of a name; report a repeat at itself."""

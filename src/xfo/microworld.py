@@ -488,7 +488,7 @@ def run(world: Microworld, chain: transitions.ChainInstance | None = None,
     On budget exhaustion the world state so far is still returned.
     """
     if max_ticks <= 0:
-        raise XfoError("max_ticks must be positive")
+        raise XfoError(f"the tick budget must be positive, got {max_ticks}")
     start_clock = world.clock
     start_events = len(world.events)
     applied: list = []

@@ -27,17 +27,7 @@ from types import MappingProxyType
 from typing import Iterator, NamedTuple, get_args
 
 from . import diagnostics as diag
-from . import kinds, schemas
-from .errors import (
-    DanglingReferenceError,
-    DuplicateNameError,
-    InheritanceCycleError,
-    InvalidChainError,
-    RecursiveAggregateError,
-    RecursiveCompositionError,
-    ReservedUpperTaxonomyNameError,
-    UnboundVariableError,
-)
+from . import errors, kinds, schemas
 from .fingerprint import dataclass_fields, stable_fingerprint
 
 # Predicates available in every registry. Subject must be an alive instance;
@@ -50,17 +40,6 @@ class Finding(NamedTuple):
     owner: str  # the schema at fault
     message: str
     name: str | None = None  # the undeclared name a dangling reference names
-
-
-# Typed errors ``RegistryBuilder.resolve`` raises for API callers.
-_RESOLVE_ERRORS = {
-    diag.DUPLICATE_NAME: DuplicateNameError,
-    diag.INHERITANCE_CYCLE: InheritanceCycleError,
-    diag.UNBOUND_VARIABLE: UnboundVariableError,
-    diag.INVALID_CHAIN: InvalidChainError,
-    diag.RECURSIVE_AGGREGATE: RecursiveAggregateError,
-    diag.RECURSIVE_COMPOSITION: RecursiveCompositionError,
-}
 
 
 class SchemaIndex:
@@ -234,11 +213,11 @@ class RegistryBuilder:
     def register(self, schema: schemas.Schema) -> "RegistryBuilder":
         name = schema.name
         if kinds.is_upper(name):
-            raise ReservedUpperTaxonomyNameError(
+            raise errors.ReservedUpperTaxonomyNameError(
                 f"{name!r} is an upper-taxonomy name and cannot be redeclared"
             )
         if name in self._schemas:
-            raise DuplicateNameError(f"{name!r} is already registered")
+            raise errors.DuplicateNameError(f"{name!r} is already registered")
         self._schemas[name] = schema
         return self
 
@@ -252,22 +231,22 @@ class RegistryBuilder:
     def resolve(self) -> Registry:
         """Flatten inheritance, check every cross-reference, and freeze.
 
-        For API callers: raises the typed error of the first finding of
-        ``resolve_with_findings`` (InheritanceCycleError,
-        DanglingReferenceError carrying every dangling reference,
-        UnboundVariableError, InvalidChainError, RecursiveAggregateError,
-        RecursiveCompositionError or DuplicateNameError). Deterministic: the
-        same definitions always produce the same fingerprint.
+        For API callers: raises the error class named by the first finding's
+        code plus ``Error`` (InheritanceCycleError, DanglingReferenceError
+        carrying every dangling reference, UnboundVariableError,
+        InvalidChainError, RecursiveAggregateError, RecursiveCompositionError
+        or DuplicateNameError). Deterministic: the same definitions always
+        produce the same fingerprint.
         """
         registry, findings = self.resolve_with_findings()
         if registry is not None:
             return registry
         first = findings[0]
         if first.code == diag.DANGLING_REFERENCE:
-            raise DanglingReferenceError(
+            raise errors.DanglingReferenceError(
                 [(f.owner, f.message) for f in findings if f.code == first.code]
             )
-        raise _RESOLVE_ERRORS[first.code](first.message)
+        raise getattr(errors, first.code + "Error")(first.message)
 
     def resolve_with_findings(self) -> tuple[Registry | None, list[Finding]]:
         """Resolve, reporting every finding; the registry is None iff any.

@@ -1,5 +1,4 @@
 import io
-import json
 
 from conftest import CORPUS_FILES, MODELS_DIR
 from helpers import count_calls
@@ -16,40 +15,17 @@ def invoke(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_compile_without_files_is_usage_error(capsys):
-    code, _, _ = invoke(["compile"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "usage" in captured.err
+def test_unknown_subcommand_is_usage_error():
+    # Argparse words an invalid choice differently across releases, so this is no contract row.
+    code, out, err = invoke(["frobnicate"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: xfo")
 
 
-def test_unknown_subcommand_is_usage_error(capsys):
-    code, _, _ = invoke(["frobnicate"])
-    assert code == 2
-
-
-def test_run_trace_ends_with_green(tmp_path):
-    trace = tmp_path / "out.ndjson"
-    code, out, _ = invoke(
-        [
-            "run",
-            str(MODELS_DIR / "trafficlight.xfo"),
-            "--world",
-            "demo",
-            "--chain",
-            "cycle",
-            "--ticks",
-            "10",
-            "--trace",
-            str(trace),
-        ]
-    )
-    assert code == 0
-    assert out.startswith("status=completed")
-    lines = trace.read_text().splitlines()
-    last = json.loads(lines[-1])
-    assert last["name"] == "turn_green"
-    assert ["light", "color", "green"] in last["edits"]["creates"]
+def test_help_goes_to_the_given_stdout():
+    code, out, err = invoke(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: xfo")
 
 
 def test_metrics_computes_no_module_fingerprint(monkeypatch):
@@ -60,7 +36,7 @@ def test_metrics_computes_no_module_fingerprint(monkeypatch):
     assert calls == []
 
 
-def test_validate_reports_a_repeated_determinant_without_a_traceback(tmp_path, capsys):
+def test_validate_reports_a_repeated_determinant_without_a_traceback(tmp_path):
     path = tmp_path / "dup.xfo"
     path.write_text("quality hue { a, a }\n")
     code, out, err = invoke(["validate", str(path)])

@@ -21,10 +21,6 @@ from conftest import CORPUS_FILES, MODELS_DIR
 from xfo.cli import main
 
 
-class Prefix(str):
-    """An expected line of which only the start is fixed: the OS words the rest."""
-
-
 class Row(NamedTuple):
     command: str
     out: tuple[str, ...] = ()
@@ -51,7 +47,14 @@ ROWS = {
     "validate-corpus": Row("validate models/*.xfo"),
     "compile-corpus": Row("compile models/*.xfo", out=("387a3353570b14a8",)),
     "compile-missing-file": Row(
-        "compile no/such/file.xfo", err=(Prefix("error: cannot read no/such/file.xfo: "),), code=1),
+        "compile no/such/file.xfo",
+        err=("error: cannot read no/such/file.xfo: No such file or directory",), code=1),
+    # Argparse's usage errors go to the stream ``main`` was given
+    "compile-without-files": Row(
+        "compile",
+        err=("usage: xfo compile [-h] files [files ...]",
+             "xfo compile: error: the following arguments are required: files"),
+        code=2),
     # Run status lines: each corpus world, interaction mode and an unknown world
     "run-trafficlight": Row(
         "run models/trafficlight.xfo --world demo --chain cycle",
@@ -77,10 +80,24 @@ ROWS = {
     "run-unknown-world": Row(
         "run models/trafficlight.xfo --world nope",
         err=("error: unknown world: nope",), code=1),
+    # An aborted chain says why on stderr; the status line and exit code stay
+    "run-aborted": Row(
+        "run models/trafficlight.xfo green.xfo --world green --chain cycle",
+        files={"green.xfo": "import trafficlight\n"
+                            "world green { spawn light: TrafficLight color = green }\n"},
+        out=("status=aborted ticks=0 fingerprint=bcd9d4445f712445",),
+        err=("aborted: transitional 'turn_green' blocked: guard failed at color(bearer, red)",)),
+    # A tick budget below one is named as the budget
+    "run-ticks-0": Row(
+        "run models/trafficlight.xfo --world demo --chain cycle --ticks 0",
+        err=("error: the tick budget must be positive, got 0",), code=1),
+    "run-ticks-negative": Row(
+        "run models/trafficlight.xfo --world demo --chain cycle --ticks -1",
+        err=("error: the tick budget must be positive, got -1",), code=1),
     # A trace that cannot be written is one error line, not a traceback
     "run-unwritable-trace": Row(
         "run models/trafficlight.xfo --world demo --chain cycle --trace /nonexistent/dir/t.ndjson",
-        err=(Prefix("error: cannot write /nonexistent/dir/t.ndjson: "),), code=1),
+        err=("error: cannot write /nonexistent/dir/t.ndjson: No such file or directory",), code=1),
     # Foundry metrics on the corpus, and each request it cannot answer
     "metrics-corpus": Row(
         "metrics models/*.xfo --orthogonality trafficlight windshield"
@@ -100,7 +117,9 @@ ROWS = {
              "specificity\tCeladonDropper\t3",
              "exhaustivity\tglaze_color,moisture,calligrapher\t2")),
     "metrics-nothing-requested": Row(
-        "metrics models/*.xfo", err=("metrics: nothing requested",), code=2),
+        "metrics models/*.xfo",
+        err=("error: nothing requested; give --orthogonality, --specificity or --exhaustivity",),
+        code=1),
     "metrics-unknown-module": Row(
         "metrics models/*.xfo --orthogonality trafficlight nope",
         err=("error: unknown module: nope",), code=1),
@@ -267,6 +286,20 @@ ROWS = {
         "inus f.field --condition nope",
         files={"f.field": "outcome f\nconditions a, b\nsufficient a\nsufficient b\n"},
         err=("error: condition 'nope' not in universe",), code=1),
+    "inus-comment-and-blank-lines": Row(
+        "inus f.field --condition a",
+        files={"f.field": "# fire\n\noutcome f\nconditions a, b\nsufficient a\nsufficient b\n"},
+        out=("condition=a inus=false witness=-",)),
+    "inus-empty-sufficient": Row(
+        "inus f.field --condition a",
+        files={"f.field": "outcome f\nconditions a\nsufficient\n"},
+        err=("error: empty sufficient set in field file",), code=1),
+    "inus-no-outcome": Row(
+        "inus f.field --condition a", files={"f.field": "conditions a\nsufficient a\n"},
+        err=("error: field file needs an outcome, conditions, and sufficient sets",), code=1),
+    "inus-missing-field-file": Row(
+        "inus no/such.field --condition a",
+        err=("error: cannot read no/such.field: No such file or directory",), code=1),
     # Macro expansion: the README's example and an empty root
     "expand-bak": Row(
         "expand --root bak",
@@ -306,12 +339,8 @@ def invoke(row, directory):
 
 
 def assert_lines(text, expected):
-    """``text`` is the expected lines, each ended by a newline; of a ``Prefix``, only the start."""
-    lines = text.split("\n")
-    assert lines.pop() == "" and len(lines) == len(expected), text
-    shown = [line[:len(want)] if isinstance(want, Prefix) else line
-             for line, want in zip(lines, expected)]
-    assert shown == list(expected)
+    """``text`` is the expected lines, each ended by a newline."""
+    assert text.split("\n") == [*expected, ""], text
 
 
 @pytest.mark.parametrize("name", ROWS)

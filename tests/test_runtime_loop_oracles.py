@@ -166,7 +166,7 @@ def oracle_run(world: Microworld, chain: transitions.ChainInstance | None = None
     the world state so far is still returned.
     """
     if max_ticks <= 0:
-        raise XfoError("max_ticks must be positive")
+        raise XfoError(f"the tick budget must be positive, got {max_ticks}")
     start_clock = world.clock
     start_events = len(world.events)
     applied: list = []
