@@ -71,7 +71,7 @@ def _load(paths: list[str]):
     for raw in paths:
         path = Path(raw)
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise XfoError(f"cannot read {raw}: {exc.strerror}") from exc
         module, diagnostics = parse_module(text, name=path.stem, file=path.name)
@@ -175,7 +175,7 @@ def _parse_field_file(path: str) -> CausalField:
     conditions: list[str] = []
     sufficient: list[frozenset[str]] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise XfoError(f"cannot read {path}: {exc.strerror}") from exc
     for raw in text.splitlines():

@@ -70,6 +70,10 @@ def module_fingerprint(module: ast.SourceModule) -> str:
     return stable_fingerprint(module_to_source(module))
 
 
+# An AST term's kind -> the kind of the schemas.Term it lowers to.
+_TERM_KINDS = {"var": schemas.VAR, "string": schemas.TEXT, "ident": schemas.CONST}
+
+
 class _Lowering:
     """Lowers every module of one compile into one RegistryBuilder.
 
@@ -86,6 +90,7 @@ class _Lowering:
         self.unresolved = {name for module in modules for name in module.dropped}
         self.worlds: dict[str, schemas.WorldDef] = {}
         self.claims: dict[str, schemas.ClaimDef] = {}
+        self.interned: dict[tuple[str, str], schemas.Term] = {}
         self.terms = {module.name: module.declared_names() for module in modules}
         self.declared = {module.name: self.terms[module.name] + module.dropped
                          for module in modules}
@@ -155,13 +160,15 @@ class _Lowering:
         return self.resolve_ref(name, span)
 
     def term(self, node: ast.TermNode, *, bearer_scope: bool) -> schemas.Term:
-        if node.kind == "var":
-            return schemas.var(node.value)
-        if node.kind == "string":
-            return schemas.text(node.value)
-        if bearer_scope and node.value == "bearer":
-            return schemas.var("bearer")
-        return schemas.const(node.value)
+        """The compile's one ``Term`` of this kind and value."""
+        kind = _TERM_KINDS[node.kind]
+        if bearer_scope and kind == schemas.CONST and node.value == "bearer":
+            kind = schemas.VAR
+        key = (kind, node.value)
+        term = self.interned.get(key)
+        if term is None:
+            term = self.interned[key] = schemas.Term(kind, node.value)
+        return term
 
     def pattern(self, node: ast.PatternNode, *, bearer_scope: bool = False,
                 ground: bool = False) -> schemas.Pattern | None:

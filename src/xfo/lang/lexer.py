@@ -1,12 +1,12 @@
 """Tokenizer for .xfo source. Keywords are contextual: the lexer only emits
 identifiers, strings, and punctuation. ``#`` starts a line comment.
 
-One compiled pattern scans the source in one pass. Each match takes the
-blanks (spaces, tabs, carriage returns) before it as a prefix, so blanks cost
-no match of their own, then exactly one numbered group: 1 a newline, which
-advances the line, 2 a comment, 3 an identifier, 4 a string (5 its closing
-quote, empty when it is unterminated), 6 a punctuation mark, 7 any other
-character, which is an error.
+One ``findall`` cuts the source into pieces that cover it without gaps: an
+identifier, a run of blanks, a newline with the next line's indent, a
+punctuation mark, a comment, a string, or any other character, an error. The
+pattern has no capture groups, so ``findall`` returns plain strings and builds
+no match object; a piece's first character names its class, and the running
+sum of the lengths gives its offset.
 
 A token is an exact tuple ``(kind, text, line, column, offset, length)``, read
 through the indexes ``KIND`` ... ``LENGTH``. CPython's cyclic collector untracks
@@ -50,20 +50,16 @@ _PUNCT = {
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "": "\\"}
 _ESCAPE = re.compile(r"\\([\s\S]?)")
 
-# A string runs to its closing quote, else up to (not over) a newline or the
-# end of the source; an escaped newline continues it. Blanks at the end of the
-# source match nothing.
-_TOKEN = re.compile(
-    r"""[ \t\r]*
-      (?: (\n)
-        | (\#[^\n]*)
-        | ([A-Za-z_][A-Za-z0-9_-]*)
-        | ("(?:[^"\\\n]|\\[\s\S]?)*("?))
-        | ([{}(),:=?.])
-        | ([^ \t\r\n]) )""",
+# Every character of the source falls in exactly one piece, so a piece's
+# offset is the sum of the lengths before it. A newline takes the blanks that
+# indent the next line. A string runs to its closing quote, else up to (not
+# over) a newline or the end of the source; an escaped newline continues it.
+_PIECES = re.compile(
+    r"""[A-Za-z_][A-Za-z0-9_-]* | [ \t\r]+ | \n[ \t\r]* | [{}(),:=?.] | \#[^\n]*
+      | "[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"? | [\s\S]""",
     re.VERBOSE,
 )
-_NEWLINE, _COMMENT, _IDENT, _STRING, _CLOSE, _PUNCT_GROUP = 1, 2, 3, 4, 5, 6
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 # The fields of a token, by index. TEXT is a string token's decoded value;
@@ -79,38 +75,38 @@ def tokenize(source: str, file: str = "<input>") -> tuple[list[tuple], list[Diag
     tokens: list[tuple] = []
     diagnostics: list[Diagnostic] = []
     append = tokens.append
-    line, line_start = 1, 0
-    for match in _TOKEN.finditer(source):
-        group = match.lastindex
-        if group <= _COMMENT:
-            if group == _NEWLINE:
-                line += 1
-                line_start = match.end()
-            continue
-        start, end = match.span(group)
-        text = match[group]
-        column = start - line_start + 1
-        if group == _IDENT:
-            append((IDENT, text, line, column, start, end - start))
-        elif group == _PUNCT_GROUP:
-            append((_PUNCT[text], text, line, column, start, 1))
-        elif group == _STRING:
-            closed = match[_CLOSE]
-            value = text[1 : len(text) - len(closed)]
+    line, line_start, offset = 1, 0, 0
+    for piece in _PIECES.findall(source):
+        first = piece[0]
+        size = len(piece)
+        if first in _IDENT_START:
+            append((IDENT, piece, line, offset - line_start + 1, offset, size))
+        elif first in " \t\r":  # blanks count only by their length
+            pass
+        elif first in _PUNCT:
+            append((_PUNCT[first], piece, line, offset - line_start + 1, offset, 1))
+        elif first == "\n":
+            line += 1
+            line_start = offset + 1
+        elif first == '"':
+            # Closed when it ends in a quote that an odd run of backslashes does not escape.
+            closed = size > 1 and piece[-1] == '"'
+            value = piece[1 : size - closed]
             if "\\" in value:
-                value = _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), value)
-            append((STRING, value, line, column, start, end - start))
+                closed = closed and (len(value) - len(value.rstrip("\\"))) % 2 == 0
+                value = _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), piece[1 : size - closed])
+            append((STRING, value, line, offset - line_start + 1, offset, size))
             if not closed:
                 diagnostics.append(Diagnostic(ERROR, SYNTAX, "unterminated string literal",
                                               file, span(tokens[-1])))
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = start + text.rindex("\n") + 1
-        else:
+            if "\n" in piece:
+                line += piece.count("\n")
+                line_start = offset + piece.rindex("\n") + 1
+        elif first != "#":
             diagnostics.append(
-                Diagnostic(ERROR, SYNTAX, f"unexpected character {text!r}", file,
-                           Span(line, column, 1, start))
+                Diagnostic(ERROR, SYNTAX, f"unexpected character {piece!r}", file,
+                           Span(line, offset - line_start + 1, 1, offset))
             )
-    end = len(source)
-    append((EOF, "", line, end - line_start + 1, end, 0))
+        offset += size
+    append((EOF, "", line, offset - line_start + 1, offset, 0))
     return tokens, diagnostics

@@ -25,6 +25,9 @@ class _ParseError(Exception):
 class Parser:
     def __init__(self, tokens: list[tuple], file: str, source: str):
         self.tokens = tokens
+        # The word of each token: its text, or None for a string, whose text is
+        # a value and never a keyword or punctuation mark. Only EOF's is "".
+        self.words = [None if token[KIND] == STRING else token[TEXT] for token in tokens]
         self.file = file
         self.source = source
         self.pos = 0
@@ -42,12 +45,11 @@ class Parser:
 
     def at(self, word: str) -> bool:
         """Whether the next token is the keyword or punctuation mark ``word``."""
-        token = self.tokens[self.pos]
-        return token[TEXT] == word and token[KIND] != STRING
+        return self.words[self.pos] == word
 
     def accept(self, word: str) -> bool:
         """Consume the next token if it is ``word``; say whether it was."""
-        if self.at(word):
+        if self.words[self.pos] == word:
             self.pos += 1
             return True
         return False
@@ -64,8 +66,9 @@ class Parser:
         return self.error(f"expected {what}, found {found!r}")
 
     def expect(self, word: str) -> None:
-        if not self.accept(word):
+        if self.words[self.pos] != word:
             raise self.unexpected(repr(word))
+        self.pos += 1
 
     def take(self, kind: str, what: str) -> str:
         """The text of the next token, which must be of ``kind``."""
@@ -86,22 +89,23 @@ class Parser:
 
     def ref(self, what: str) -> str:
         """A possibly module-qualified name: IDENT { '.' IDENT }."""
-        parts = [self.ident(what)]
-        while self.accept("."):
-            parts.append(self.ident("name after '.'"))
-        return ".".join(parts)
+        name = self.ident(what)
+        while self.words[self.pos] == ".":
+            self.pos += 1
+            name += "." + self.ident("name after '.'")
+        return name
 
     def span_from(self, start_index: int) -> Span:
-        start = self.tokens[start_index]
-        last = self.tokens[max(start_index, self.pos - 1)]
-        length = max(last[OFFSET] + last[LENGTH] - start[OFFSET], 0)
+        """From the token at ``start_index`` to the last one consumed, never before it."""
+        start, last = self.tokens[start_index], self.tokens[self.pos - 1]
+        length = last[OFFSET] + last[LENGTH] - start[OFFSET]
         return Span(start[LINE], start[COLUMN], length, start[OFFSET])
 
     def block(self, item) -> tuple:
         """``{ item* }``: the items parsed up to the closing brace."""
         self.expect("{")
         items = []
-        while not self.at("}") and self.peek()[KIND] != EOF:
+        while self.words[self.pos] not in {"}", ""}:  # "" is EOF's word
             items.append(item())
         self.expect("}")
         return tuple(items)
@@ -255,7 +259,7 @@ class Parser:
         if self.accept("?"):
             name = self.ident("variable name after '?'")
             return ast.TermNode("var", name, span=self.span_from(start))
-        if self.peek()[KIND] == STRING:
+        if self.words[start] is None:  # a string
             value = self.advance()[TEXT]
             return ast.TermNode("string", value, span=self.span_from(start))
         value = self.ref("term")

@@ -39,6 +39,7 @@ BIG_FIELD = "".join([
 ])
 FIRE_FIELD = ("outcome house_fire\nconditions short_circuit, flammable_material, arson\n"
               "sufficient short_circuit flammable_material\nsufficient arson\n")
+TRAFFIC_BOM = "\ufeff" + (MODELS_DIR / "trafficlight.xfo").read_text(encoding="utf-8")
 DANGLING_KILN = 'object Bench { part oven: Kiln function "bakes" }\n'
 OBJECT_ITEM = "error[SyntaxError]: expected an object item (quality/part/function/role), found"
 
@@ -46,6 +47,11 @@ ROWS = {
     # The corpus validates and compiles
     "validate-corpus": Row("validate models/*.xfo"),
     "compile-corpus": Row("compile models/*.xfo", out=("387a3353570b14a8",)),
+    # A leading UTF-8 byte-order mark is ignored
+    "compile-trafficlight": Row("compile models/trafficlight.xfo", out=("0e13b973bef2d886",)),
+    "compile-bom": Row("compile trafficlight.xfo", files={"trafficlight.xfo": TRAFFIC_BOM},
+                       out=("0e13b973bef2d886",)),
+    "validate-bom": Row("validate trafficlight.xfo", files={"trafficlight.xfo": TRAFFIC_BOM}),
     "compile-missing-file": Row(
         "compile no/such/file.xfo",
         err=("error: cannot read no/such/file.xfo: No such file or directory",), code=1),
@@ -271,6 +277,9 @@ ROWS = {
     "inus-fire-short-circuit": Row(
         "inus fire.field --condition short_circuit", files={"fire.field": FIRE_FIELD},
         out=("condition=short_circuit inus=true witness=flammable_material+short_circuit",)),
+    "inus-fire-short-circuit-bom": Row(
+        "inus fire.field --condition short_circuit", files={"fire.field": "\ufeff" + FIRE_FIELD},
+        out=("condition=short_circuit inus=true witness=flammable_material+short_circuit",)),
     "inus-fire-arson": Row(
         "inus fire.field --condition arson", files={"fire.field": FIRE_FIELD},
         out=("condition=arson inus=false witness=-",)),
@@ -344,8 +353,9 @@ def assert_lines(text, expected):
 
 
 @pytest.mark.parametrize("name", ROWS)
-def test_cli_contract(name, tmp_path):
+def test_cli_contract(name, tmp_path, monkeypatch):
     row = ROWS[name]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the pinned usage lines at COLUMNS - 2
     start = time.perf_counter()
     code, out, err = invoke(row, tmp_path)
     elapsed = time.perf_counter() - start

@@ -506,3 +506,18 @@ def test_a_function_that_serves_an_upper_taxonomy_name_is_reported_and_registers
     ])
     with pytest.raises(DuplicateNameError, match="serves 'Entity', which is not a need"):
         builder.resolve()
+
+
+def test_bearer_is_a_variable_only_in_a_bearer_scope_and_each_term_is_built_once():
+    result = compile_ok({"m": (
+        "object Pot { }\nrelation near(Pot, Pot)\n"
+        "transitional t on Pot {\n  require near(bearer, ?p)\n  create near(?p, bearer)\n}\n"
+        "world w {\n  spawn bearer: Pot\n  spawn p: Pot\n  assert near(bearer, p)\n}\n"
+    )})
+    transitional = result.registry.transitional("t")
+    guard, create = transitional.guards[0], transitional.edits[0].pattern
+    assert guard == schemas.Pattern("near", schemas.BEARER, schemas.var("p"))
+    assert create == schemas.Pattern("near", schemas.var("p"), schemas.BEARER)
+    assert guard.subject is create.object and guard.object is create.subject
+    (world_assert,) = result.world("w").asserts
+    assert world_assert == schemas.Pattern("near", schemas.const("bearer"), schemas.const("p"))

@@ -4,12 +4,16 @@
 and one Span per token, kept here as the oracle with two position fixes applied:
 a comment advances the column, and an escaped newline inside a string
 starts a new line. ``asdict_fingerprint`` is the registry fingerprint as
-``dataclasses.asdict`` of every schema plus its ``__type__``.
+``dataclasses.asdict`` of every schema plus its ``__type__``. ``PARSE_DIGEST``
+is a SHA-256 of everything ``parse_module`` returned on the corpus, generated
+modules and seeded token mutations, taken before the front end was last
+rewritten for speed.
 """
 
 import dataclasses
 import hashlib
 import json
+import random
 import runpy
 from pathlib import Path
 
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 from xfo import compile_modules, parse_module
 from xfo.diagnostics import ERROR, SYNTAX, Diagnostic, Span
 from xfo.lang.lexer import _PUNCT, EOF, IDENT, KIND, STRING, TEXT, span, tokenize
+from xfo.lang.parser import DECL_KEYWORDS
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
@@ -152,3 +157,55 @@ def test_generated_fingerprint_matches_asdict_payload(seed):
     result = compile_modules(modules)
     assert result.ok, result.diagnostics
     assert result.registry.fingerprint == asdict_fingerprint(result.registry)
+
+
+# Words the mutations insert: every punctuation mark and the keywords the
+# parser branches on.
+INSERTED_WORDS = (*_PUNCT, *sorted(DECL_KEYWORDS), "part", "function", "required",
+                  "member", "link", "require", "delete", "create", "do", "if", "else",
+                  "while", "on", "when", "realize", "spawn", "assert", "evidence", '"s"')
+
+
+def mutations(source, rng, count):
+    """``count`` token-level edits of ``source``: a token deleted, a word inserted
+    before a token, or one token's text copied before another."""
+    tokens = [(s.offset, s.offset + s.length) for _, _, s in reference_tokenize(source)[0][:-1]]
+    for _ in range(count):
+        at, _ = rng.choice(tokens)
+        op = rng.randrange(3)
+        if op == 0:
+            start, end = rng.choice(tokens)
+            yield source[:start] + source[end:]
+        elif op == 1:
+            yield f"{source[:at]}{rng.choice(INSERTED_WORDS)} {source[at:]}"
+        else:
+            start, end = rng.choice(tokens)
+            yield f"{source[:at]}{source[start:end]} {source[at:]}"
+
+
+def parse_inputs():
+    """(name, text) of the corpus, small generated sets and seeded mutations of the corpus."""
+    corpus = [(Path(f).stem, (MODELS_DIR / f).read_text()) for f in CORPUS_FILES]
+    yield from corpus
+    for seed in range(8):
+        yield from generate(seed, 3, 2).sources
+    rng = random.Random(0)
+    for name, text in corpus:
+        for index, mutant in enumerate(mutations(text, rng, 500)):
+            yield f"{name}-{index}", mutant
+
+
+PARSE_DIGEST = "ab5680585435ce70dae74ae71d696dc6e5c9cc65b5c4dde9d281a3c89228e22a"
+
+
+def test_parse_module_matches_pinned_digest(corpus):
+    """Every module, span and diagnostic the parser gives on these inputs, then
+    the corpus registry fingerprint, hash to the value they had before the
+    lexer, parser and lowering were last sped up."""
+    digest = hashlib.sha256()
+    for name, text in parse_inputs():
+        module, diagnostics = parse_module(text, name=name)
+        digest.update(repr((module, module.file, module.dropped, diagnostics)).encode())
+    digest.update(corpus.registry.fingerprint.encode())
+    assert digest.hexdigest() == PARSE_DIGEST
+
