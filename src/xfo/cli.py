@@ -66,15 +66,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
 _PARSER = build_arg_parser()  # built once per process; parse_args leaves it unchanged
 
 
+def _read(path: str) -> str:
+    """The text of a UTF-8 file; a leading byte-order mark is dropped."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise XfoError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
+
+
 def _load(paths: list[str]):
     modules = []
     for raw in paths:
         path = Path(raw)
-        try:
-            text = path.read_text(encoding="utf-8-sig")
-        except OSError as exc:
-            raise XfoError(f"cannot read {raw}: {exc.strerror}") from exc
-        module, diagnostics = parse_module(text, name=path.stem, file=path.name)
+        module, diagnostics = parse_module(_read(raw), name=path.stem, file=path.name)
         modules.append((module, diagnostics))
     parse_diagnostics = [d for _, diags in modules for d in diags]
     result = compile_modules([m for m, _ in modules])
@@ -174,11 +178,7 @@ def _parse_field_file(path: str) -> CausalField:
     outcome = None
     conditions: list[str] = []
     sufficient: list[frozenset[str]] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise XfoError(f"cannot read {path}: {exc.strerror}") from exc
-    for raw in text.splitlines():
+    for raw in _read(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

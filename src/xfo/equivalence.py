@@ -110,6 +110,23 @@ def _cone(registry: Registry, chains, levels) -> set[tuple[str, str]]:
     return cone & swept
 
 
+def _sweep(world: Microworld, swept: list, spawn, differs, assignment: tuple = ()) -> tuple | None:
+    """The first assignment below the world's prefix where ``differs()``, if any.
+    Not a closure: one that calls itself holds itself, and its world, in a cycle."""
+    if len(assignment) == len(swept):
+        return assignment if differs() else None
+    name, schema_name, dets, axes = swept[len(assignment)]
+    for combo in itertools.product(*axes):
+        determinants = dict(zip(dets, combo))
+        mark = world.mark()
+        spawn(name, schema_name, determinants)
+        found = _sweep(world, swept, spawn, differs, assignment + ((name, determinants),))
+        world.rewind(mark)
+        if found is not None:
+            return found
+    return None
+
+
 def check_equivalence(
     registry: Registry,
     chain_a: str,
@@ -185,21 +202,6 @@ def check_equivalence(
         world.rewind(mark)
         return live
 
-    def sweep(depth: int, assignment: tuple) -> tuple | None:
-        """The first differing assignment below the world's prefix, if any."""
-        if depth == len(swept):
-            return assignment if final_state(chain_a) != final_state(chain_b) else None
-        name, schema_name, dets, axes = swept[depth]
-        for combo in itertools.product(*axes):
-            determinants = dict(zip(dets, combo))
-            mark = world.mark()
-            spawn(name, schema_name, determinants)
-            found = sweep(depth + 1, assignment + ((name, determinants),))
-            world.rewind(mark)
-            if found is not None:
-                return found
-        return None
-
     fixed, swept = [], []  # fixed: (name, determinants) of the levels with one combination
     for name, schema_name, dets, axes in levels:
         axes = [values if (name, det) in cone else values[:1] for det, values in zip(dets, axes)]
@@ -209,7 +211,7 @@ def check_equivalence(
             determinants = {det: values[0] for det, values in zip(dets, axes)}
             spawn(name, schema_name, determinants)
             fixed.append((name, determinants))
-    found = sweep(0, ())
+    found = _sweep(world, swept, spawn, lambda: final_state(chain_a) != final_state(chain_b))
     if found is None:
         return EquivalenceResult(True, None, size)
     found = sorted((*fixed, *found))  # every spawn succeeded, so names are distinct

@@ -294,19 +294,16 @@ class RegistryBuilder:
                 )
 
     def _flatten_objects(self, objects: dict) -> dict[str, schemas.ThickObjectSchema]:
-        flat: dict[str, schemas.ThickObjectSchema] = {}
-
-        def flatten(name: str) -> schemas.ThickObjectSchema:
-            if name in flat:
-                return flat[name]
-            schema = objects[name]
-            if schema.parent in objects:
-                schema = schemas.flatten_object(schema, flatten(schema.parent))
-            flat[name] = schema
-            return schema
-
-        for name in objects:
-            flatten(name)
+        flat: dict[str, schemas.ThickObjectSchema] = {}  # each parent before its children
+        for cursor in objects:
+            lineage = []  # ``cursor`` and its ancestors not yet flattened, child first
+            while cursor in objects and cursor not in flat:
+                lineage.append(cursor)
+                cursor = objects[cursor].parent
+            for name in reversed(lineage):
+                schema = objects[name]
+                parent = flat.get(schema.parent)
+                flat[name] = schema if parent is None else schemas.flatten_object(schema, parent)
         return flat
 
     def _collect_dangling(self, index: SchemaIndex, findings: list[Finding]) -> None:
@@ -349,7 +346,7 @@ class RegistryBuilder:
                     if rname not in index.realizables:
                         missing(name, "realizable", rname)
             elif isinstance(schema, schemas.RelationSchema):
-                for ref in (schema.subject_kind, schema.object_kind):
+                for ref in dict.fromkeys((schema.subject_kind, schema.object_kind)):
                     if ref not in index.kind_names:
                         missing(name, "kind", ref)
             elif isinstance(schema, schemas.RealizableSchema):
@@ -454,21 +451,13 @@ class RegistryBuilder:
     @staticmethod
     def _reject_cycles(edges: dict, code: str, label: str, findings: list[Finding]) -> None:
         done: set[str] = set()
-
-        def visit(node: str, stack: tuple[str, ...]):
-            if node in stack:
-                finding = Finding(code, node, f"recursive {label} definition through {node!r}")
-                if finding not in findings:
-                    findings.append(finding)
-                return
-            if node in done:
-                return
-            for nxt in edges.get(node, ()):
-                visit(nxt, stack + (node,))
-            done.add(node)
-
+        closing: list[str] = []  # the node each back edge reaches, depth first
         for node in edges:
-            visit(node, ())
+            _back_edges(edges, node, (), done, closing)
+        findings.extend(
+            Finding(code, node, f"recursive {label} definition through {node!r}")
+            for node in dict.fromkeys(closing)
+        )
 
     def _build_kind_table(self, index: SchemaIndex) -> kinds.KindTable:
         user = {name: schema.parent or kinds.OBJECT for name, schema in index.objects.items()}
@@ -482,6 +471,17 @@ class RegistryBuilder:
         user.update(dict.fromkeys(index.transitionals, kinds.TRANSITIONAL))
         user.update(dict.fromkeys([*index.chains, *index.processes], kinds.PROCESS))
         return kinds.KindTable(user)
+
+
+def _back_edges(edges: dict, node: str, stack: tuple, done: set, closing: list) -> None:
+    """Walk depth first from ``node``, below the path ``stack``: a node met
+    again on its path closes a cycle and goes to ``closing``."""
+    if node in stack:
+        closing.append(node)
+    elif node not in done:
+        for nxt in edges.get(node, ()):
+            _back_edges(edges, nxt, stack + (node,), done, closing)
+        done.add(node)
 
 
 def validation_findings(registry: Registry) -> list[Finding]:

@@ -58,23 +58,23 @@ def solve_guards(
     """First full solution of a guard conjunction, or (None, deepest index).
 
     Guards are tried in declaration order; each extension follows the store's
-    deterministic query order, so repeated runs bind identically.
+    deterministic query order, so repeated runs bind identically. A loop
+    over one iterator of extensions per guard: the search leaves no cycle.
     """
+    if not guards:
+        return dict(seed), 0
     deepest = 0
-
-    def descend(index: int, bindings: dict[str, str]) -> dict[str, str] | None:
-        nonlocal deepest
-        if index == len(guards):
-            return bindings
-        deepest = max(deepest, index)
-        for extension in store.query(guards[index], bindings=bindings):
-            solution = descend(index + 1, extension)
-            if solution is not None:
-                return solution
-        return None
-
-    solution = descend(0, dict(seed))
-    return solution, deepest
+    pending = [iter(store.query(guards[0], bindings=seed))]  # pending[i]: guard i's extensions
+    while pending:
+        bindings = next(pending[-1], None)
+        if bindings is None:
+            pending.pop()
+        elif len(pending) == len(guards):
+            return bindings, deepest
+        else:
+            deepest = max(deepest, len(pending))
+            pending.append(iter(store.query(guards[len(pending)], bindings=bindings)))
+    return None, deepest
 
 
 def _ground(pattern: schemas.Pattern, bindings: dict[str, str]) -> tuple[str, str, str]:

@@ -1,3 +1,4 @@
+import faulthandler
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,10 @@ from xfo import compile_modules, parse_module
 
 MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# A test still running after this many seconds has hung: the run ends with
+# every thread's traceback. The slowest test takes a few seconds.
+WATCHDOG_S = 120
 
 CORPUS_FILES = (
     "calligraphy.xfo",
@@ -42,3 +47,10 @@ def corpus(corpus_modules):
 @pytest.fixture(scope="session")
 def registry(corpus):
     return corpus.registry
+
+
+@pytest.fixture(autouse=True)
+def watchdog():
+    faulthandler.dump_traceback_later(WATCHDOG_S, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()

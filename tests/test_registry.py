@@ -218,6 +218,10 @@ DANGLING_CASES = {
         [ProcessSchema("brewing", participants=("Jug",))],
         ("brewing", "brewing: participant kind 'Jug' not found", "Jug"),
     ),
+    "relation kind, at both ends": (
+        [RelationSchema("r", "Nope", "Nope")],
+        ("r", "r: kind 'Nope' not found", "Nope"),
+    ),
 }
 
 
