@@ -71,7 +71,7 @@ def _levels(registry: Registry, space: StateSpace) -> list[tuple[str, str, tuple
     return levels
 
 
-def _cone(registry: Registry, chains, levels) -> set[tuple[str, str]]:
+def _cone(registry: Registry, chain_names, levels) -> set[tuple[str, str]]:
     """The swept (instance, determinable) pairs that a run of either chain may
     read or write. The patterns in scope: every transitional a chain reaches,
     on the bearer the chain binds; every ``if``/``while`` condition; and
@@ -82,14 +82,13 @@ def _cone(registry: Registry, chains, levels) -> set[tuple[str, str]]:
     instance declaring the predicate."""
     bound = [(name, schema) for name, schema, _, _ in levels]
     code = []  # (patterns, their bearers, or None where ``bearer`` is a plain variable)
-    for step in (step for chain in chains for step in schemas.walk_steps(chain.steps)):
-        if isinstance(step, schemas.DoStep):
-            transitional = registry.transitional(step.transitional)
+    for reach in map(registry.reach, chain_names):
+        for name in reach.transitionals:
+            transitional = registry.transitional(name)
             bearer = transitions.first_bearer(registry, transitional.bearer_kind, bound)
             code.append((transitional.guards + transitional.deletes + transitional.creates,
                          [bearer]))
-        else:
-            code.append(((step.condition,), None))
+        code.extend(((step.condition,), None) for step in reach.branches)
     for disposition in registry.dispositions():
         kind, realization = disposition.bearer_kind, registry.transitional(disposition.realization)
         if disposition.trigger and realization and kind:
@@ -168,7 +167,7 @@ def check_equivalence(
     if size > state_bound:
         raise StateSpaceTooLargeError(f"state space has {size} states (bound {state_bound})")
 
-    cone = _cone(registry, (registry.chain(chain_a), registry.chain(chain_b)), levels)
+    cone = _cone(registry, (chain_a, chain_b), levels)
     bindings = {name: name for name, _ in space.instances}
     world = Microworld(registry, name="equiv")
     planned: dict[str, transitions.ChainInstance] = {}
@@ -211,7 +210,11 @@ def check_equivalence(
             determinants = {det: values[0] for det, values in zip(dets, axes)}
             spawn(name, schema_name, determinants)
             fixed.append((name, determinants))
-    found = _sweep(world, swept, spawn, lambda: final_state(chain_a) != final_state(chain_b))
+    mark = world.mark()  # rewound also when a run raises: an open mark holds a cycle
+    try:
+        found = _sweep(world, swept, spawn, lambda: final_state(chain_a) != final_state(chain_b))
+    finally:
+        world.rewind(mark)
     if found is None:
         return EquivalenceResult(True, None, size)
     found = sorted((*fixed, *found))  # every spawn succeeded, so names are distinct

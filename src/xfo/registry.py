@@ -4,9 +4,9 @@ reference checking), and the post-resolve validator.
 A RegistryBuilder accumulates schemas in a single context; ``resolve`` yields
 an immutable Registry that may be shared across concurrent readers.
 Resolution builds one SchemaIndex: the resolved table partitioned by schema
-type, plus the predicate, kind and determinable name sets. Every resolution
-check, the validator and the Registry's lookups read that index, so none of
-them type-tests or scans the whole table per call.
+type, plus the predicate, kind and determinable name sets and each chain's
+reach. Every resolution check, the validator and the Registry's lookups read
+that index, so none of them type-tests or scans the whole table per call.
 
 Resolution and validation report Findings: a diagnostic code, the schema at
 fault, a message and, for a dangling reference to a schema or predicate, the
@@ -40,6 +40,11 @@ class Finding(NamedTuple):
     owner: str  # the schema at fault
     message: str
     name: str | None = None  # the undeclared name a dangling reference names
+
+
+class ChainReach(NamedTuple):
+    transitionals: tuple[str, ...]  # the names its ``do`` steps run, once each, first-reach order
+    branches: tuple  # its ``if`` and ``while`` steps, in pre-order
 
 
 class SchemaIndex:
@@ -89,6 +94,12 @@ class SchemaIndex:
         # A flattened object's determinables are its own and its ancestors',
         # so the declared objects' determinables are every predicate a slot gives.
         self.predicates = frozenset(BUILTIN_PREDICATES).union(self.declarers, self.relations)
+        self.reaches = {}
+        for name, chain in self.chains.items():
+            steps = tuple(schemas.walk_steps(chain.steps))
+            runs = (step.transitional for step in steps if isinstance(step, schemas.DoStep))
+            branches = tuple(step for step in steps if not isinstance(step, schemas.DoStep))
+            self.reaches[name] = ChainReach(tuple(dict.fromkeys(runs)), branches)
 
 
 class Registry:
@@ -132,6 +143,9 @@ class Registry:
 
     def chain(self, name: str) -> schemas.ChainSchema | None:
         return self._index.chains.get(name)
+
+    def reach(self, chain: str) -> ChainReach | None:
+        return self._index.reaches.get(chain)
 
     def process(self, name: str) -> schemas.ProcessSchema | None:
         return self._index.processes.get(name)
@@ -408,9 +422,7 @@ class RegistryBuilder:
                     diag.INVALID_CHAIN, schema.name,
                     f"chain {schema.name!r} has unknown kind {schema.kind!r}",
                 ))
-            elif schema.kind == schemas.SEQUENCE and not all(
-                isinstance(step, schemas.DoStep) for step in schemas.walk_steps(schema.steps)
-            ):
+            elif schema.kind == schemas.SEQUENCE and index.reaches[schema.name].branches:
                 findings.append(Finding(
                     diag.INVALID_CHAIN, schema.name,
                     f"sequence {schema.name!r} admits no conditionals or loops",

@@ -170,12 +170,6 @@ class ChainInstance:
         return tuple(frame.index for frame in self.frames)
 
 
-def reachable_do_steps(chain: schemas.ChainSchema) -> tuple[schemas.DoStep, ...]:
-    return tuple(
-        step for step in schemas.walk_steps(chain.steps) if isinstance(step, schemas.DoStep)
-    )
-
-
 def first_bearer(registry, kind: str | None, bound) -> str | None:
     """The first instance id of ``bound``, (instance id, schema) pairs in
     binding-name order, whose schema is a ``kind``."""
@@ -206,7 +200,7 @@ def instantiate_chain(
             raise MissingBindingError(f"binding {name}={instance_id!r} names an unknown instance")
         bound.append((instance_id, world.store.instance(instance_id).schema))
     bearer_map: dict[str, str] = {}
-    for name in dict.fromkeys(step.transitional for step in reachable_do_steps(chain)):
+    for name in registry.reach(chain_name).transitionals:
         transitional = registry.transitional(name)
         bearer = first_bearer(registry, transitional.bearer_kind, bound)
         if bearer is None:
@@ -305,50 +299,31 @@ def thick_chain_summary(registry, chain_name: str) -> ChainSummary:
     chain = registry.chain(chain_name)
     if chain is None:
         raise UnknownChainError(f"unknown chain: {chain_name}")
-
-    transitionals: list[str] = []
-    interventions: list[str] = []
-    predicates: set[str] = set()
+    reach = registry.reach(chain_name)
+    interventions = tuple(step.transitional for step in schemas.walk_steps(chain.steps)
+                          if isinstance(step, schemas.DoStep) and step.intervention)
+    patterns = [step.condition for step in reach.branches]
     participants: set[str] = set()
-    loops = 0
-    conditionals = 0
-
-    def note_pattern(pattern: schemas.Pattern) -> None:
-        predicates.add(pattern.predicate)
-        relation = registry.relation(pattern.predicate)
+    for name in reach.transitionals:
+        transitional = registry.transitional(name)
+        if transitional.bearer_kind:
+            participants.add(transitional.bearer_kind)
+        patterns += [*transitional.guards, *(edit.pattern for edit in transitional.edits)]
+    predicates = {pattern.predicate for pattern in patterns}
+    for predicate in predicates:
+        relation = registry.relation(predicate)
         if relation is not None:
             participants.update((relation.subject_kind, relation.object_kind))
         else:
-            participants.update(registry.determinable_declarers(pattern.predicate))
-
-    for step in schemas.walk_steps(chain.steps):
-        if isinstance(step, schemas.DoStep):
-            if step.transitional not in transitionals:
-                transitionals.append(step.transitional)
-            if step.intervention:
-                interventions.append(step.transitional)
-            transitional = registry.transitional(step.transitional)
-            if transitional.bearer_kind:
-                participants.add(transitional.bearer_kind)
-            for pattern in transitional.guards:
-                note_pattern(pattern)
-            for edit in transitional.edits:
-                note_pattern(edit.pattern)
-        elif isinstance(step, schemas.IfStep):
-            conditionals += 1
-            note_pattern(step.condition)
-        elif isinstance(step, schemas.WhileStep):
-            loops += 1
-            note_pattern(step.condition)
-
+            participants.update(registry.determinable_declarers(predicate))
     return ChainSummary(
         chain=chain.name,
         kind=chain.kind,
-        transitionals=tuple(transitionals),
+        transitionals=reach.transitionals,
         participants=tuple(sorted(participants)),
         predicates=tuple(sorted(predicates)),
-        interventions=tuple(interventions),
-        loop_count=loops,
-        conditional_count=conditionals,
+        interventions=interventions,
+        loop_count=sum(isinstance(step, schemas.WhileStep) for step in reach.branches),
+        conditional_count=sum(isinstance(step, schemas.IfStep) for step in reach.branches),
         depth=schemas.step_depth(chain.steps),
     )

@@ -7,20 +7,21 @@ models with variable-subject guards and conditions, role-constant
 conditions, parts, dispositions, pinned determinables, fully pinned and
 out-of-cone instances around swept ones, and part ids that clash, it must
 agree with the oracle of ``test_equiv_sweep`` on the verdict, the number of
-states checked, the witness and every error. Counting the runs and the
-spawns guards the saving.
+states checked, the witness and every error. Counting the runs, the spawns
+and the step walks guards the saving.
 """
 
 import math
 
 import pytest
-from helpers import compile_ok, count_calls
+from helpers import compile_ok, count_calls, world_from
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_equiv_sweep import _outcome, oracle
 
 import xfo.equivalence
-from xfo import StateSpace, check_equivalence
+import xfo.schemas
+from xfo import StateSpace, check_equivalence, instantiate_chain
 from xfo.equivalence import EquivalenceResult
 from xfo.errors import DuplicateNameError
 from xfo.microworld import Microworld
@@ -340,3 +341,13 @@ def test_out_of_cone_instances_are_spawned_once(registry, monkeypatch):
     assert result.states_checked == 2 * 3 ** 6 + 1
     # Six lights once each, then the first light once per colour up to red.
     assert len(spawns) == 6 + 3
+
+
+def test_chain_reach_is_read_not_walked(corpus, monkeypatch):
+    registry = corpus.registry  # resolved before the count starts: resolution walks each chain
+    walks = count_calls(monkeypatch, xfo.schemas, "walk_steps")
+    space = StateSpace(tuple((f"l{i}", "TrafficLight") for i in range(7)))
+    check_equivalence(registry, "cycle", "go_yellow", space)
+    roles = {"dropper": "dropper", "stone": "stone", "stick": "stick", "brush": "brush"}
+    instantiate_chain(world_from(corpus, "calligraphy_session"), "mix_ink", roles)
+    assert walks == []

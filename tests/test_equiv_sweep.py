@@ -120,9 +120,8 @@ def test_sweep_agrees_with_per_state_rebuild(registry, data):
     got, cyclic = cyclic_garbage(
         lambda: _outcome(check_equivalence, registry, chain_a, chain_b, space))
     assert got == expected
-    # A check that returns frees its world by reference counting alone; one that
-    # raises from inside a chain run leaves the world's mark open, in a cycle.
-    assert not isinstance(got, EquivalenceResult) or cyclic == 0, f"{cyclic} cyclic objects"
+    # A check frees its world by reference counting alone, whether it returns or raises.
+    assert cyclic == 0, f"{cyclic} cyclic objects"
 
 
 def test_counterexample_on_a_mixed_space_matches_the_oracle(registry):
@@ -166,7 +165,10 @@ def test_nonterminating_chain_still_raised():
     space = StateSpace((("b", "Light"), ("a", "Light")))
     expected = _outcome(oracle, looping, "spin", "spin", space, loop_cap=20)
     assert expected[0] is NonterminatingChainError
-    assert _outcome(check_equivalence, looping, "spin", "spin", space, loop_cap=20) == expected
+    got, cyclic = cyclic_garbage(
+        lambda: _outcome(check_equivalence, looping, "spin", "spin", space, loop_cap=20))
+    assert got == expected
+    assert cyclic == 0, f"{cyclic} cyclic objects"
 
 
 def test_duplicate_instance_name_raises(registry):

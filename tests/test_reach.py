@@ -106,7 +106,6 @@ API_ONLY = {
     "schemas.py:text": "compile_modules",  # a string literal in a pattern or edit
     "transitions.py:ChainInstance.program_counter": "ChainInstance.program_counter",
     "transitions.py:thick_chain_summary": "thick_chain_summary",
-    "transitions.py:thick_chain_summary.<locals>.note_pattern": "thick_chain_summary",
 }
 
 

@@ -164,6 +164,42 @@ def test_history_append_only(store):
     assert after[0].retracted_at == 4
 
 
+class _Reads(dict):
+    """A dict that notes each key read from it, by lookup or by iteration."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.keys_read = []
+
+    def __getitem__(self, key):
+        self.keys_read.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.keys_read.append(key)
+        return super().get(key, default)
+
+    def __iter__(self):
+        self.keys_read.extend(super().__iter__())
+        return super().__iter__()
+
+
+def test_a_bound_query_reads_only_its_own_index_entries(store):
+    # Counted, not timed: a dropped fast path falls through to the whole-predicate scan.
+    for i in range(3, 8):
+        store.register_instance(f"p{i}", "Person", 1)
+    for i in range(1, 7):
+        store.assert_relation(f"p{i}", "married_to", f"p{i + 1}", 2)
+    store.assert_relation("p1", "married_to", "p3", 2)
+    by_subject = store._by_subject["married_to"] = _Reads(store._by_subject["married_to"])
+    rows = store.query(Pattern("married_to", var("a"), const("p3")))
+    assert rows == [{"a": "p1"}, {"a": "p2"}]
+    assert set(by_subject.keys_read) <= {"p1", "p2"}
+    del by_subject.keys_read[:]
+    assert store.query(Pattern("married_to", const("p1"), var("b"))) == [{"b": "p2"}, {"b": "p3"}]
+    assert by_subject.keys_read == ["p1"]
+
+
 # --- parts, queries in id order, destruction ----------------------------------------
 
 CLOCKWORK = """

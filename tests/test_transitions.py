@@ -7,6 +7,7 @@ from xfo import (
     AppliedTransition,
     BlockedTransition,
     ChainInstance,
+    ChainSummary,
     apply_transitional,
     instantiate_chain,
     step_chain,
@@ -416,6 +417,31 @@ def test_conditional_summary_from_source():
 def test_unknown_chain_summary(corpus):
     with pytest.raises(UnknownChainError):
         thick_chain_summary(corpus.registry, "nonesuch")
+
+
+# (kind, transitionals, participants, predicates, interventions, loops, conditionals, depth)
+CORPUS_SUMMARIES = {
+    "mix_ink": ("procedure", ("drip", "rub_to_thin", "finish_mix"),
+                ("Brush", "InkStick", "InkStone", "WaterDropper"), ("consistency", "mixing"),
+                (), 1, 0, 2),
+    "unwind": ("mechanism", ("run_down",), ("Clock",), ("tension",), (), 0, 0, 1),
+    "cycle": ("sequence", ("turn_green",), ("TrafficLight",), ("color",), (), 0, 0, 1),
+    "go_yellow": ("sequence", ("turn_yellow",), ("TrafficLight",), ("color",), (), 0, 0, 1),
+    "go_green_swapped": ("sequence", ("swap_to_green",), ("TrafficLight",), ("color",),
+                         (), 0, 0, 1),
+    "pottery": ("sequence", ("throw", "fire", "glaze"),
+                ("CeladonDropper", "Vessel", "WaterDropper"),
+                ("glaze_color", "moisture", "shape"), (), 0, 0, 1),
+    "celadon_production": ("procedure", ("throw", "fire", "glaze"),
+                           ("CeladonDropper", "Vessel", "WaterDropper"),
+                           ("glaze_color", "moisture", "shape"), ("throw", "glaze"), 0, 0, 1),
+}
+
+
+def test_every_corpus_chain_summary_is_pinned(corpus):
+    assert sorted(chain.name for chain in corpus.registry.chains()) == sorted(CORPUS_SUMMARIES)
+    for name, fields in CORPUS_SUMMARIES.items():
+        assert thick_chain_summary(corpus.registry, name) == ChainSummary(name, *fields)
 
 
 def test_run_blocked_transitional_status(corpus):
